@@ -3,11 +3,20 @@
 Each sweep solves the three exact least-squares subproblems in the order
 first node mode, second node mode, view mode (Gauss-Seidel: every solve
 uses the freshest other factors), then renormalizes the node factors and
-pushes their column norms into per-component scales.
+pushes their column norms into per-component scales. Each sweep also
+records the new model's fit, taken from the view-mode MTTKRP and Gram
+products the view-factor solve has already formed.
+
+``decompose`` sets every loaded OpenBLAS to one thread while it runs and
+restores the previous counts when it returns, so its factors do not
+depend on the caller's BLAS thread count. The setting is process-global:
+BLAS calls made by other threads of the process during ``decompose``
+also run on one thread.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_blas_thread
 from .dataio import load_matrix, save_matrix
 from .errors import DataError, NumericalError
-from .tensor import Tensor3, fit, mttkrp
+from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp
 
 __all__ = [
     "AlsConfig",
@@ -59,7 +69,10 @@ class FactorModel:
 
     Reconstruction of view l is sum_r column_scales[r] * C[l, r] *
     outer(A[:, r], B[:, r]). Treat instances as immutable once returned
-    by the solver.
+    by the solver. ``gram_fallbacks`` counts the Gram solves that fell
+    back from Cholesky to the pseudoinverse; ``blas_threads`` is the BLAS
+    thread count ``decompose`` ran with (None when it found no OpenBLAS
+    to pin). Neither is saved by ``save_model``.
     """
 
     A: np.ndarray
@@ -69,6 +82,8 @@ class FactorModel:
     fit_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    gram_fallbacks: int = 0
+    blas_threads: int | None = None
 
     @property
     def rank(self) -> int:
@@ -80,14 +95,13 @@ class FactorModel:
         b_norms = np.linalg.norm(self.B, axis=0)
         a_div = np.where(a_norms > 0, a_norms, 1.0)
         b_div = np.where(b_norms > 0, b_norms, 1.0)
-        return FactorModel(
+        return dataclasses.replace(
+            self,
             A=self.A / a_div,
             B=self.B / b_div,
             C=self.C.copy(),
             column_scales=self.column_scales * a_div * b_div,
             fit_history=list(self.fit_history),
-            converged=self.converged,
-            iterations=self.iterations,
         )
 
 
@@ -108,22 +122,23 @@ def init_factors(dims, config: AlsConfig) -> FactorModel:
     )
 
 
-def _solve_gram(rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _solve_gram(rhs: np.ndarray, gram: np.ndarray) -> tuple:
     """Solve factor @ gram = rhs for a symmetric PSD gram matrix.
 
     Cholesky on the fast path; rank-deficient grams fall back to the
-    pseudoinverse of a trace-scaled ridge regularization.
+    pseudoinverse of a trace-scaled ridge regularization. Returns the
+    solution and whether it fell back.
     """
     try:
         chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         out = scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
         if np.all(np.isfinite(out)):
-            return out
+            return out, False
     except scipy.linalg.LinAlgError:
         pass
     ridge = 1e-12 * np.trace(gram)
     regularized = gram + ridge * np.eye(gram.shape[0])
-    return rhs @ np.linalg.pinv(regularized)
+    return rhs @ np.linalg.pinv(regularized), True
 
 
 def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
@@ -131,27 +146,32 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
 
     The view factor keeps the solved magnitudes; the node factors come
     back with unit-norm columns and their norms pushed into
-    column_scales. Never raises on singular grams.
+    column_scales. The new model's fit is appended to fit_history, and
+    the sweep's Cholesky-to-pinv fallbacks are added to gram_fallbacks.
+    Never raises on singular grams.
     """
     weighted_c = model.C * model.column_scales
+    c_gram = weighted_c.T @ weighted_c
 
-    gram = (model.B.T @ model.B) * (weighted_c.T @ weighted_c)
-    a_raw = _solve_gram(mttkrp(x, model.B, weighted_c, 0), gram)
+    a_raw, a_fell = _solve_gram(
+        mttkrp(x, model.B, weighted_c, 0), (model.B.T @ model.B) * c_gram
+    )
+    a_gram = a_raw.T @ a_raw
+    b_raw, b_fell = _solve_gram(mttkrp(x, a_raw, weighted_c, 1), a_gram * c_gram)
+    ab_gram = a_gram * (b_raw.T @ b_raw)
+    m_view = mttkrp(x, a_raw, b_raw, 2)
+    c_raw, c_fell = _solve_gram(m_view, ab_gram)
 
-    gram = (a_raw.T @ a_raw) * (weighted_c.T @ weighted_c)
-    b_raw = _solve_gram(mttkrp(x, a_raw, weighted_c, 1), gram)
-
-    gram = (a_raw.T @ a_raw) * (b_raw.T @ b_raw)
-    c_raw = _solve_gram(mttkrp(x, a_raw, b_raw, 2), gram)
-
-    updated = FactorModel(
+    fit_history = [*model.fit_history, fit_from_view_mttkrp(x, m_view, ab_gram, c_raw)]
+    updated = dataclasses.replace(
+        model,
         A=a_raw,
         B=b_raw,
         C=c_raw,
         column_scales=np.ones(model.rank),
-        fit_history=list(model.fit_history),
-        converged=model.converged,
-        iterations=model.iterations,
+        fit_history=fit_history,
+        iterations=len(fit_history),
+        gram_fallbacks=model.gram_fallbacks + a_fell + b_fell + c_fell,
     )
     return updated.normalized()
 
@@ -161,23 +181,24 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
 
     Non-convergence within max_iters is not an error; the returned model
     carries a converged flag and the full per-iteration fit history.
+    Every loaded OpenBLAS runs on one thread until this returns.
     """
     config.validate()
     if x.nnz == 0:
         raise ValueError("cannot decompose a tensor with no nonzero entries")
     model = init_factors(x.dims, config)
-    prev_fit = None
-    for _ in range(config.max_iters):
-        model = als_step(x, model)
-        current = fit(x, model)
-        if not np.isfinite(current):
-            raise NumericalError("fit became non-finite during ALS")
-        model.fit_history.append(current)
-        model.iterations = len(model.fit_history)
-        if prev_fit is not None and abs(current - prev_fit) < config.tol:
-            model.converged = True
-            break
-        prev_fit = current
+    with single_blas_thread() as threads:
+        model.blas_threads = threads
+        prev_fit = None
+        for _ in range(config.max_iters):
+            model = als_step(x, model)
+            current = model.fit_history[-1]
+            if not np.isfinite(current):
+                raise NumericalError("fit became non-finite during ALS")
+            if prev_fit is not None and abs(current - prev_fit) < config.tol:
+                model.converged = True
+                break
+            prev_fit = current
     return model
 
 

@@ -5,7 +5,8 @@ embed, evaluate, interpret — persisting every intermediate artifact and
 a manifest that captures all parameters, input checksums, the fit
 history, and every report. Outputs contain no timestamps or absolute
 paths, so two runs with the same config and inputs are byte-identical.
-A stage failure writes a FAILED marker naming the stage and re-raises.
+A stage failure writes a FAILED marker naming the stage and re-raises;
+a run removes any FAILED marker an earlier run left in its directory.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         run_dir = _new_run_dir(default_run_root())
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "FAILED").unlink(missing_ok=True)
 
     manifest: dict = {
         "config": config.to_dict(),
@@ -226,6 +228,8 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             "converged": model.converged,
             "final_fit": float(model.fit_history[-1]),
             "fit_history": [float(v) for v in model.fit_history],
+            "gram_fallbacks": model.gram_fallbacks,
+            "blas_threads": model.blas_threads,
             "output": "model",
         }
 

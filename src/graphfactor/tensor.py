@@ -9,6 +9,7 @@ keeps the dominant contraction (MTTKRP) at O(nnz * rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +22,11 @@ __all__ = ["Tensor3", "stack_views", "mttkrp", "reconstruct_view", "fit"]
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Sparse I x J x L tensor stored as per-view CSR slices."""
+    """Sparse I x J x L tensor stored as per-view CSR slices.
+
+    Treat the slices as read-only: the squared norm is computed once and
+    cached on the instance.
+    """
 
     slices: tuple
 
@@ -35,6 +40,10 @@ class Tensor3:
         return sum(s.nnz for s in self.slices)
 
     def norm_sq(self) -> float:
+        return self._norm_sq
+
+    @cached_property
+    def _norm_sq(self) -> float:
         return float(sum(s.multiply(s).sum() for s in self.slices))
 
     def to_dense(self) -> np.ndarray:
@@ -140,12 +149,24 @@ def fit(x: Tensor3, model) -> float:
     _check_factor("A", model.A, i_dim, None)
     _check_factor("B", model.B, j_dim, model.A.shape[1])
     _check_factor("C", model.C, l_dim, model.A.shape[1])
+    weighted_c = model.C * model.column_scales
+    ab_gram = (model.A.T @ model.A) * (model.B.T @ model.B)
+    return fit_from_view_mttkrp(x, mttkrp(x, model.A, model.B, 2), ab_gram, weighted_c)
+
+
+def fit_from_view_mttkrp(x: Tensor3, m_view, ab_gram, weighted_c) -> float:
+    """The fit of a model from pieces an ALS sweep already holds.
+
+    ``m_view`` is the view-mode MTTKRP of the node factors A and B,
+    ``ab_gram`` is (A^T A) * (B^T B), and ``weighted_c`` is the view
+    factor with the component scales multiplied in. Then <X, X_hat> =
+    sum(m_view * weighted_c) and ||X_hat||^2 = sum(ab_gram * (weighted_c^T
+    weighted_c)) (Kolda & Bader, SIAM Review 2009, section 3.4).
+    """
     norm_x_sq = x.norm_sq()
     if norm_x_sq == 0.0:
         raise ValueError("tensor has zero norm; fit is undefined")
-    weighted_c = model.C * model.column_scales
-    inner = float(np.sum(mttkrp(x, model.A, model.B, 2) * weighted_c))
-    gram = (model.A.T @ model.A) * (model.B.T @ model.B) * (weighted_c.T @ weighted_c)
-    est_sq = float(np.sum(gram))
+    inner = float(np.sum(m_view * weighted_c))
+    est_sq = float(np.sum(ab_gram * (weighted_c.T @ weighted_c)))
     resid_sq = max(norm_x_sq - 2.0 * inner + est_sq, 0.0)
     return 1.0 - np.sqrt(resid_sq) / np.sqrt(norm_x_sq)

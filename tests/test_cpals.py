@@ -1,10 +1,16 @@
 """Alternating least squares: sweeps, convergence, normalization, I/O."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphfactor.cpals
 from graphfactor import (
     AlsConfig,
     FactorModel,
@@ -17,7 +23,8 @@ from graphfactor import (
     reconstruct_view,
     save_model,
 )
-from graphfactor.errors import DataError
+from graphfactor._blas import openblas_thread_controls
+from graphfactor.errors import DataError, NumericalError
 
 from oracles import oracle_als, oracle_als_sweep
 
@@ -26,6 +33,19 @@ def random_tensor(rng, dims, density=0.6):
     dense = rng.random(dims) * (rng.random(dims) < density)
     dense[0, 0, 0] = max(dense[0, 0, 0], 0.5)  # keep the tensor nonzero
     return dense
+
+
+def zeroed_component_model(rng, i_dim, j_dim, l_dim):
+    # duplicate components, with B's second one zero: every Gram of a
+    # sweep has a zero row, so Cholesky fails and each solve falls back
+    # to the pseudoinverse, and the zero component persists
+    col_a, col_b, col_c = rng.random((i_dim, 1)), rng.random((j_dim, 1)), rng.random((l_dim, 1))
+    return FactorModel(
+        A=np.hstack([col_a, col_a]),
+        B=np.hstack([col_b, np.zeros((j_dim, 1))]),
+        C=np.hstack([col_c, col_c]),
+        column_scales=np.ones(2),
+    )
 
 
 class TestConfigAndInit:
@@ -104,6 +124,14 @@ class TestAlsStep:
         assert np.all(np.isfinite(out.A))
         assert np.all(np.isfinite(out.column_scales))
 
+    def test_singular_gram_fallbacks_are_counted(self):
+        rng = np.random.default_rng(3)
+        x = Tensor3.from_dense(random_tensor(rng, (5, 5, 2)))
+        out = als_step(x, zeroed_component_model(rng, 5, 5, 2))
+        assert out.gram_fallbacks == 3
+        assert np.all(np.isfinite(out.A))
+        assert als_step(x, out).gram_fallbacks == 6
+
 
 class TestNormalization:
     def test_scale_absorption_keeps_reconstruction(self):
@@ -175,6 +203,38 @@ class TestDecompose:
         assert np.array_equal(m1.column_scales, m2.column_scales)
         assert m1.fit_history == m2.fit_history
 
+    def test_recorded_fit_equals_fit_oracle(self):
+        # random tensors, an exact-rank tensor, and a model whose every
+        # sweep solves exactly singular Grams. The fit is compared where
+        # it stays below 1: near an exact fit the expanded residual
+        # identity is only accurate to about sqrt(machine epsilon).
+        rng = np.random.default_rng(20)
+        a, b, c = rng.random((7, 3)), rng.random((6, 3)), rng.random((2, 3))
+        cases = [(random_tensor(rng, (9, 8, 2)), AlsConfig(rank=3, seed=s)) for s in range(4)]
+        cases.append((np.einsum("ir,jr,lr->ijl", a, b, c), AlsConfig(rank=3, seed=1)))
+        for dense, config in cases:
+            x = Tensor3.from_dense(dense)
+            m = decompose(x, config)
+            assert m.gram_fallbacks == 0
+            assert abs(m.fit_history[-1] - fit(x, m)) <= 1e-12
+            assert np.all(np.diff(m.fit_history) >= -1e-12)
+
+        x = Tensor3.from_dense(random_tensor(rng, (7, 6, 2)))
+        m = zeroed_component_model(rng, 7, 6, 2)
+        for _ in range(10):
+            m = als_step(x, m)
+            assert abs(m.fit_history[-1] - fit(x, m)) <= 1e-12
+        assert m.gram_fallbacks == 30
+        assert np.all(np.diff(m.fit_history) >= -1e-12)
+
+    def test_rank_above_unfolding_size_counts_fallbacks(self):
+        # rank 3 > J * L = 2 makes the first node mode's Gram singular
+        rng = np.random.default_rng(21)
+        x = Tensor3.from_dense(random_tensor(rng, (6, 2, 1)))
+        m = decompose(x, AlsConfig(rank=3, seed=1))
+        assert m.gram_fallbacks > 0
+        assert m.fit_history[-1] >= 1.0 - 1e-6
+
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
             decompose(Tensor3.from_dense(np.zeros((3, 3, 2))), AlsConfig(rank=1))
@@ -205,6 +265,71 @@ class TestDecompose:
             dense, m0.A, m0.B, m0.C, m0.column_scales, m.iterations
         )
         assert np.allclose(m.fit_history, history, atol=1e-8)
+
+
+class TestBlasThreads:
+    def test_decompose_pins_one_thread_and_restores(self, monkeypatch):
+        controls = openblas_thread_controls()
+        before = [get() for get, _ in controls]
+        seen = []
+        real_step = graphfactor.cpals.als_step
+
+        def step(x, model):
+            seen.append([get() for get, _ in controls])
+            return real_step(x, model)
+
+        monkeypatch.setattr(graphfactor.cpals, "als_step", step)
+        rng = np.random.default_rng(15)
+        x = Tensor3.from_dense(random_tensor(rng, (6, 6, 2)))
+        m = decompose(x, AlsConfig(rank=2, seed=0, max_iters=4, tol=1e-12))
+        assert m.blas_threads == (1 if controls else None)
+        assert seen == [[1] * len(controls)] * 4
+        assert [get() for get, _ in controls] == before
+
+        def explode(x, model):
+            raise NumericalError("boom")
+
+        monkeypatch.setattr(graphfactor.cpals, "als_step", explode)
+        with pytest.raises(NumericalError):
+            decompose(x, AlsConfig(rank=2))
+        assert [get() for get, _ in controls] == before
+
+    def test_factor_bytes_do_not_depend_on_caller_threads(self):
+        # OpenBLAS reads its thread count from the environment when it
+        # loads, so each setting needs its own process; without a setting
+        # it uses one thread per CPU
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import hashlib
+            from graphfactor import (
+                AlsConfig, FeatureMatrix, Graph, build_knn_view, decompose, stack_views,
+            )
+            from synthdata import WEBKB_SHAPED, planted_dataset
+
+            ds = planted_dataset(WEBKB_SHAPED)
+            graph = Graph(num_nodes=WEBKB_SHAPED.num_nodes, edges=frozenset(ds.edges))
+            x = stack_views(graph, build_knn_view(FeatureMatrix(ds.features_csr()), 40))
+            m = decompose(x, AlsConfig(rank=128, max_iters=3, tol=1e-12, seed=0))
+            digest = hashlib.sha256()
+            for arr in (m.A, m.B, m.C, m.column_scales):
+                digest.update(arr.tobytes())
+            print(digest.hexdigest())
+        """)
+        digests = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
+            for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestModelIO:

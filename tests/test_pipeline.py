@@ -68,6 +68,8 @@ class TestRunPipeline:
         fit_history = by_name["decompose"]["fit_history"]
         assert len(fit_history) == by_name["decompose"]["iterations"]
         assert by_name["decompose"]["final_fit"] == fit_history[-1]
+        assert by_name["decompose"]["gram_fallbacks"] == 0
+        assert by_name["decompose"]["blas_threads"] in (1, None)
         assert by_name["embed"]["dim"] == 4
         report = by_name["evaluate"]["reports"][0]
         assert report["train_fraction"] == 0.5
@@ -131,6 +133,15 @@ class TestRunPipeline:
         assert manifest["failed_stage"] == "evaluate"
         # earlier stages still left their artifacts behind
         assert (tmp_path / "run" / "embeddings.txt").is_file()
+
+    def test_successful_rerun_removes_stale_failed_marker(self, demo_paths, tmp_path):
+        with pytest.raises(PipelineError):
+            run_pipeline(demo_config(demo_paths, labels=None), tmp_path / "run")
+        assert (tmp_path / "run" / "FAILED").is_file()
+        run_dir = run_pipeline(demo_config(demo_paths), tmp_path / "run")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert not (run_dir / "FAILED").exists()
 
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
         config = demo_config(demo_paths, k=0)
