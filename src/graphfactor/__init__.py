@@ -45,7 +45,7 @@ from .interpret import (
     view_weights,
     write_weights_csv,
 )
-from .knn import KnnView, build_knn_view, cosine_similarity, top_k_select
+from .knn import KnnView, build_knn_view
 from .pipeline import PipelineConfig, run_pipeline, sweep
 from .tensor import Tensor3, fit, mttkrp, reconstruct_view, stack_views
 
@@ -70,7 +70,6 @@ __all__ = [
     "ViewWeightTable",
     "als_step",
     "build_knn_view",
-    "cosine_similarity",
     "decompose",
     "dimension_correlation",
     "evaluate",
@@ -94,7 +93,6 @@ __all__ = [
     "save_model",
     "stack_views",
     "sweep",
-    "top_k_select",
     "train_ovr",
     "view_weights",
     "write_weights_csv",

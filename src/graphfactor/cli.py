@@ -9,8 +9,6 @@ parameter `sweep`. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +19,7 @@ from .dataio import (
     load_features,
     load_labels,
     save_embeddings,
+    save_json,
     save_matrix,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
@@ -29,7 +28,7 @@ from .evaluate import evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
 from .knn import build_knn_view, load_directed_edge_list, save_knn_edge_list
 from .pipeline import PipelineConfig, run_pipeline, sweep
-from .tensor import reconstruct_view, stack_views
+from .tensor import assemble_tensor, reconstruct_view
 
 __all__ = ["main"]
 
@@ -65,21 +64,10 @@ def _cmd_build_knn(args) -> int:
     return EXIT_OK
 
 
-def _load_two_views(adj_path, knn_path):
-    graph = load_edge_list(adj_path)
-    z = None
-    num_nodes = graph.num_nodes
-    if knn_path is not None:
-        z = load_directed_edge_list(knn_path)
-        num_nodes = max(num_nodes, z.shape[0])
-        if z.shape[0] != num_nodes:
-            z.resize((num_nodes, num_nodes))
-    graph = dataclasses.replace(graph, num_nodes=num_nodes)
-    return stack_views(graph, z)
-
-
 def _cmd_decompose(args) -> int:
-    tensor = _load_two_views(args.adj, args.knn)
+    graph = load_edge_list(args.adj)
+    z = None if args.knn is None else load_directed_edge_list(args.knn)
+    tensor = assemble_tensor(graph, z)
     config = AlsConfig(
         rank=args.rank,
         max_iters=args.max_iters,
@@ -120,10 +108,7 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
         l2_strength=args.l2,
     )
-    Path(args.out).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    save_json(report.to_dict(), args.out)
     print(
         f"wrote {args.out}: micro-F1 {report.micro_f1_mean:.4f} "
         f"macro-F1 {report.macro_f1_mean:.4f} "
@@ -165,9 +150,7 @@ def _cmd_interpret(args) -> int:
             "l2_strength": args.l2,
         },
     )
-    Path(args.report_out).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_json(report, args.report_out)
     print(
         f"wrote {args.report_out}: removed {len(report['removed_dimensions'])} "
         f"dimensions, micro-F1 {report['micro_f1_before']:.4f} -> "

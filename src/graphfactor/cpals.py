@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_blas_thread
-from .dataio import load_matrix, save_matrix
+from .dataio import load_matrix, save_json, save_matrix
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp
 
@@ -218,16 +218,8 @@ def save_model(model: FactorModel, directory, config: AlsConfig | None = None) -
         "fit_history": [float(v) for v in model.fit_history],
     }
     if config is not None:
-        record["config"] = {
-            "rank": config.rank,
-            "max_iters": config.max_iters,
-            "tol": config.tol,
-            "seed": config.seed,
-            "init": config.init,
-        }
-    (directory / "run.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        record["config"] = dataclasses.asdict(config)
+    save_json(record, directory / "run.json")
 
 
 def load_model(directory) -> FactorModel:

@@ -9,6 +9,7 @@ trips are bit-exact.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ __all__ = [
     "load_embeddings",
     "save_matrix",
     "load_matrix",
+    "save_json",
     "sha256_file",
 ]
 
@@ -317,6 +319,11 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 def load_embeddings(path) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=load_matrix(path))
+
+
+def save_json(obj, path) -> None:
+    """Write a JSON record: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def sha256_file(path) -> str:

@@ -16,6 +16,7 @@ from .dataio import EmbeddingMatrix
 
 __all__ = [
     "EMBEDDING_SOURCES",
+    "view_dimension_weights",
     "dimension_weights",
     "extract_embeddings",
     "prune_dimensions",
@@ -24,15 +25,20 @@ __all__ = [
 EMBEDDING_SOURCES = ("A", "B", "A-concat-B")
 
 
-def dimension_weights(model: FactorModel) -> np.ndarray:
-    """Per-component weight: max over views of |scale_r * C(l, r)|.
+def view_dimension_weights(model: FactorModel) -> np.ndarray:
+    """|scale_r * C(l, r)| per (view l, component r).
 
     Computed on the canonical (node factors column-normalized) form so
     the value does not depend on how magnitude is split between the
     factors and the scales.
     """
     canonical = model.normalized()
-    return np.abs(canonical.C * canonical.column_scales).max(axis=0)
+    return np.abs(canonical.C * canonical.column_scales)
+
+
+def dimension_weights(model: FactorModel) -> np.ndarray:
+    """Per-component weight: the largest of its view weights."""
+    return view_dimension_weights(model).max(axis=0)
 
 
 def extract_embeddings(model: FactorModel, source: str = "A") -> EmbeddingMatrix:

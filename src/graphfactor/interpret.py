@@ -17,8 +17,8 @@ import numpy as np
 
 from .cpals import FactorModel
 from .dataio import EmbeddingMatrix, LabelSet
-from .embedding import prune_dimensions
-from .evaluate import evaluate
+from .embedding import prune_dimensions, view_dimension_weights
+from .evaluate import EvalReport, evaluate
 
 __all__ = [
     "ViewWeightTable",
@@ -53,8 +53,7 @@ def view_weights(model: FactorModel, threshold: float | None = None) -> ViewWeig
     the table depends only on the reconstruction the model denotes, not
     on how magnitude is split between factors and scales.
     """
-    canonical = model.normalized()
-    weights = np.abs(canonical.C * canonical.column_scales)
+    weights = view_dimension_weights(model)
     return ViewWeightTable(
         num_views=weights.shape[0],
         num_dims=weights.shape[1],
@@ -112,13 +111,17 @@ def pruning_report(
     labels: LabelSet,
     threshold: float,
     eval_config: dict | None = None,
+    *,
+    before: EvalReport | None = None,
 ) -> dict:
     """Classification quality before vs. after pruning, same seeds.
 
-    ``emb`` must be the unpruned source-A embedding of ``model``. The
-    report embeds the removed dimensions, both evaluation summaries,
-    the Micro-F1 delta, and per-removed-dimension correlations when
-    computable.
+    ``emb`` must be the unpruned source-A embedding of ``model``.
+    ``before``, when given, is that embedding's evaluation under
+    ``eval_config``, already computed by the caller; it is used in place
+    of evaluating again. The report embeds the removed dimensions, both
+    evaluation summaries, the Micro-F1 delta, and per-removed-dimension
+    correlations when computable.
     """
     config = dict(DEFAULT_EVAL_CONFIG)
     if eval_config:
@@ -127,14 +130,23 @@ def pruning_report(
             raise ValueError(f"unknown eval_config keys: {sorted(unknown)}")
         config.update(eval_config)
 
-    before = evaluate(
-        emb,
-        labels,
-        train_fraction=config["train_fraction"],
-        repeats=config["repeats"],
-        seed=config["seed"],
-        l2_strength=config["l2_strength"],
-    )
+    if before is None:
+        before = evaluate(
+            emb,
+            labels,
+            train_fraction=config["train_fraction"],
+            repeats=config["repeats"],
+            seed=config["seed"],
+            l2_strength=config["l2_strength"],
+        )
+    elif (before.train_fraction, before.repeats) != (
+        config["train_fraction"], config["repeats"]
+    ):
+        raise ValueError(
+            f"before report (train fraction {before.train_fraction}, "
+            f"{before.repeats} repeats) does not match eval_config "
+            f"({config['train_fraction']}, {config['repeats']} repeats)"
+        )
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
     if removed:
         after = evaluate(

@@ -17,25 +17,11 @@ from .dataio import FeatureMatrix, _iter_records, _parse_id
 from .errors import DataError, ParseError
 
 __all__ = [
-    "SimilarityMatrix",
     "KnnView",
-    "cosine_similarity",
-    "top_k_select",
     "build_knn_view",
     "save_knn_edge_list",
     "load_directed_edge_list",
 ]
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Dense pairwise cosine similarities in [0, 1] with a zero diagonal."""
-
-    values: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -69,24 +55,6 @@ def _row_norms(matrix: sp.csr_matrix) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def cosine_similarity(features: FeatureMatrix) -> SimilarityMatrix:
-    """Pairwise cosine similarity of feature rows, diagonal forced to 0.
-
-    Rows with zero norm get similarity 0 against every node rather than
-    dividing by zero.
-    """
-    if features.num_nodes < 2:
-        raise ValueError("cosine similarity needs at least 2 nodes")
-    mat = features.matrix
-    norms = _row_norms(mat)
-    dots = (mat @ mat.T).toarray()
-    denom = np.outer(norms, norms)
-    values = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    np.fill_diagonal(values, 0.0)
-    np.clip(values, 0.0, 1.0, out=values)
-    return SimilarityMatrix(values=values)
-
-
 def _select_row(row: np.ndarray, k: int):
     """Indices of the k largest strictly positive entries, ties by index."""
     order = np.argsort(-row, kind="stable")
@@ -98,39 +66,27 @@ def _select_row(row: np.ndarray, k: int):
     return tuple(picked)
 
 
-def top_k_select(sim: SimilarityMatrix, k: int) -> KnnView:
-    """Per-row selection of the k most similar nodes.
-
-    Rows with fewer than k strictly positive similarities select all of
-    them; a zero similarity never becomes an edge.
-    """
-    n = sim.num_nodes
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the node count {n}")
-    out = tuple(_select_row(sim.values[v], k) for v in range(n))
-    return KnnView(num_nodes=n, k=k, out_edges=out)
-
-
 def build_knn_view(features: FeatureMatrix, k: int,
                    block_rows: int | None = None) -> KnnView:
     """Cosine similarity followed by per-row top-k selection.
 
-    With ``block_rows`` the similarity matrix is computed in row blocks
-    so only a block of the dense V x V matrix is held at a time; the
-    result is identical to the unblocked path.
+    The similarity matrix is computed ``block_rows`` rows at a time, so
+    only a block of the dense V x V matrix is held at once; ``None``
+    takes all rows as one block. The result does not depend on the
+    block size. Rows with zero norm get similarity 0 against every node,
+    and a zero similarity never becomes an edge: rows with fewer than k
+    strictly positive similarities select all of them.
     """
     n = features.num_nodes
     if n < 2:
         raise ValueError("need at least 2 nodes to build a proximity view")
-    if block_rows is None:
-        return top_k_select(cosine_similarity(features), k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
-    if block_rows < 1:
+    if block_rows is None:
+        block_rows = n
+    elif block_rows < 1:
         raise ValueError("block_rows must be >= 1")
     mat = features.matrix
     norms = _row_norms(mat)

@@ -5,8 +5,9 @@ embed, evaluate, interpret — persisting every intermediate artifact and
 a manifest that captures all parameters, input checksums, the fit
 history, and every report. Outputs contain no timestamps or absolute
 paths, so two runs with the same config and inputs are byte-identical.
-A stage failure writes a FAILED marker naming the stage and re-raises;
-a run removes any FAILED marker an earlier run left in its directory.
+A stage failure writes a FAILED marker naming the stage and re-raises.
+A run first deletes every file an earlier run may have written to its
+directory, so the directory holds only the latest run's outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dataio import (
     load_features,
     load_labels,
     save_embeddings,
+    save_json,
     sha256_file,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
@@ -31,12 +33,29 @@ from .errors import DataError, PipelineError
 from .evaluate import evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
 from .knn import build_knn_view, save_knn_edge_list
-from .tensor import stack_views
+from .tensor import assemble_tensor
 
 __all__ = ["PipelineConfig", "run_pipeline", "sweep", "default_run_root"]
 
 RUNS_ENV_VAR = "GRAPHFACTOR_RUNS"
 STAGE_NAMES = ("build-knn", "stack", "decompose", "embed", "evaluate", "interpret")
+# Every file a run can write, as globs relative to the run directory. A run
+# deletes them all before its first stage and leaves any other file alone.
+RUN_ARTIFACTS = (
+    "FAILED",
+    "manifest.json",
+    "knn_edges.txt",
+    "model/A.txt",
+    "model/B.txt",
+    "model/C.txt",
+    "model/scales.txt",
+    "model/run.json",
+    "embeddings.txt",
+    "eval_train_*.json",
+    "weights.csv",
+    "pruning_report.json",
+    "embeddings_pruned.txt",
+)
 
 
 @dataclass
@@ -59,15 +78,19 @@ class PipelineConfig:
     init: str = "uniform"
     use_knn_view: bool = True
 
+    def als_config(self) -> AlsConfig:
+        return AlsConfig(
+            rank=self.rank,
+            max_iters=self.max_iters,
+            tol=self.tol,
+            seed=self.seed,
+            init=self.init,
+        )
+
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        self.als_config().validate()
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not self.l2_strength > 0:
@@ -138,7 +161,9 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         run_dir = _new_run_dir(default_run_root())
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "FAILED").unlink(missing_ok=True)
+    for pattern in RUN_ARTIFACTS:
+        for path in run_dir.glob(pattern):
+            path.unlink()
 
     manifest: dict = {
         "config": config.to_dict(),
@@ -148,9 +173,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
     }
 
     def write_manifest() -> None:
-        (run_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        save_json(manifest, run_dir / "manifest.json")
 
     def fail(stage: str, exc: Exception):
         (run_dir / "FAILED").write_text(
@@ -189,20 +212,10 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             "sha256": sha256_file(config.edges),
         }
         graph = load_edge_list(config.edges)
-        knn = state.get("knn")
-        num_nodes = graph.num_nodes
-        if knn is not None:
-            num_nodes = max(num_nodes, knn.num_nodes)
-        graph = dataclasses.replace(graph, num_nodes=num_nodes)
-        z = None
-        if knn is not None:
-            z = knn.to_csr()
-            if z.shape[0] != num_nodes:
-                z.resize((num_nodes, num_nodes))
-        tensor = stack_views(graph, z)
+        tensor = assemble_tensor(graph, state.get("knn"))
         state["tensor"] = tensor
+        num_nodes, _, l_dim = tensor.dims
         state["num_nodes"] = num_nodes
-        i_dim, j_dim, l_dim = tensor.dims
         return {
             "num_nodes": num_nodes,
             "views": l_dim,
@@ -212,13 +225,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         }
 
     def stage_decompose() -> dict:
-        als_config = AlsConfig(
-            rank=config.rank,
-            max_iters=config.max_iters,
-            tol=config.tol,
-            seed=config.seed,
-            init=config.init,
-        )
+        als_config = config.als_config()
         model = decompose(state["tensor"], als_config)
         save_model(model, run_dir / "model", als_config)
         state["model"] = model
@@ -267,13 +274,11 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
                 l2_strength=config.l2_strength,
             )
             name = f"eval_train_{_fraction_tag(fraction)}.json"
-            (run_dir / name).write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            reports.append(report.to_dict())
+            save_json(report.to_dict(), run_dir / name)
+            reports.append(report)
             outputs.append(name)
-        return {"reports": reports, "outputs": outputs}
+        state["first_report"] = reports[0]
+        return {"reports": [r.to_dict() for r in reports], "outputs": outputs}
 
     def stage_interpret() -> dict:
         model = state["model"]
@@ -281,8 +286,12 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         write_weights_csv(table, run_dir / "weights.csv")
         details: dict = {"weights_csv": "weights.csv"}
         if config.prune_threshold is not None:
+            # The source-A embedding was already scored at the first train
+            # fraction by the evaluate stage; other sources score it here.
+            before = None
             if config.embedding_source == "A":
                 emb_a = state["emb"]
+                before = state["first_report"]
             else:
                 emb_a = extract_embeddings(model, "A")
             report = pruning_report(
@@ -296,10 +305,9 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
                     "seed": config.seed,
                     "l2_strength": config.l2_strength,
                 },
+                before=before,
             )
-            (run_dir / "pruning_report.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            save_json(report, run_dir / "pruning_report.json")
             pruned_emb, _removed = prune_dimensions(
                 emb_a, model, config.prune_threshold
             )

@@ -8,6 +8,7 @@ keeps the dominant contraction (MTTKRP) at O(nnz * rank).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 from .dataio import Graph
 from .knn import KnnView
 
-__all__ = ["Tensor3", "stack_views", "mttkrp", "reconstruct_view", "fit"]
+__all__ = ["Tensor3", "stack_views", "assemble_tensor", "mttkrp", "reconstruct_view", "fit"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,23 @@ def stack_views(adj: Graph, knn) -> Tensor3:
             )
         slices.append(z)
     return Tensor3.from_slices(slices)
+
+
+def assemble_tensor(graph: Graph, z) -> Tensor3:
+    """Stack the adjacency and an optional K-NN view of any node count.
+
+    ``z`` is a KnnView, a sparse matrix or None. A node that only one
+    view names (features past the edge list's largest id, or the
+    reverse) is added to the other view as an isolated node, so both
+    views span the larger node count.
+    """
+    if z is None:
+        return stack_views(graph, None)
+    z = z.to_csr() if isinstance(z, KnnView) else sp.csr_matrix(z)
+    num_nodes = max(graph.num_nodes, z.shape[0])
+    if z.shape[0] != num_nodes:
+        z.resize((num_nodes, num_nodes))
+    return stack_views(dataclasses.replace(graph, num_nodes=num_nodes), z)
 
 
 def _check_factor(name: str, arr: np.ndarray, rows: int, rank: int | None):

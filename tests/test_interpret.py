@@ -196,6 +196,18 @@ class TestPruningReport:
         with pytest.raises(ValueError, match="unknown eval_config"):
             pruning_report(model, emb, labels, 0.0, eval_config={"folds": 5})
 
+    def test_given_before_report_replaces_the_first_evaluation(self):
+        model, emb, labels = self.fitted_setup()
+        before = evaluate(emb, labels, train_fraction=0.5, repeats=10, seed=0)
+        reused = pruning_report(model, emb, labels, threshold=0.5, before=before)
+        assert reused == pruning_report(model, emb, labels, threshold=0.5)
+        with pytest.raises(ValueError, match="train fraction 0.3"):
+            pruning_report(model, emb, labels, threshold=0.5, before=evaluate(
+                emb, labels, train_fraction=0.3, repeats=10, seed=0))
+        with pytest.raises(ValueError, match="10 repeats"):
+            pruning_report(model, emb, labels, threshold=0.5,
+                           eval_config={"repeats": 3}, before=before)
+
     def test_pruning_everything_is_an_error(self):
         model, emb, labels = self.fitted_setup()
         with pytest.raises(ValueError):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphfactor import build_knn_view, cosine_similarity, top_k_select
+from graphfactor import build_knn_view
 from graphfactor.dataio import FeatureMatrix
 from graphfactor.errors import DataError
 from graphfactor.knn import load_directed_edge_list, save_knn_edge_list
 
-from oracles import oracle_cosine, oracle_knn_edges
+from oracles import oracle_knn_edges
 
 
 def feats(dense) -> FeatureMatrix:
@@ -22,28 +22,40 @@ def view_edges(view):
 
 class TestCosineSimilarity:
     def test_matches_oracle_and_is_symmetric(self):
+        # real-valued features: the oracle's cosine ranking decides every
+        # edge, and with k = n - 1 every positive similarity is an edge,
+        # so the edge set is symmetric with no self-loops
         rng = np.random.default_rng(1)
         dense = rng.random((9, 5)) * (rng.random((9, 5)) < 0.6)
-        sim = cosine_similarity(feats(dense)).values
-        want = oracle_cosine(dense)
-        assert np.allclose(sim, want, atol=1e-12)
-        assert np.allclose(sim, sim.T, atol=1e-12)
-        assert np.all(np.diag(sim) == 0.0)
-        assert sim.min() >= 0.0 and sim.max() <= 1.0
+        for k in (3, 8):
+            edges = view_edges(build_knn_view(feats(dense), k=k))
+            assert edges == oracle_knn_edges(dense, k)
+        assert set(edges) == {(v, u) for u, v in edges}
+        assert all(u != v for u, v in edges)
 
     def test_zero_norm_rows_get_zero_similarity(self):
-        dense = [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
-        sim = cosine_similarity(feats(dense)).values
-        assert np.all(sim[1] == 0.0)
-        assert np.all(sim[:, 1] == 0.0)
+        # node 1 has no features: no out-edges, and no node's neighbor
+        dense = [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 2.0]]
+        view = build_knn_view(feats(dense), k=3)
+        assert view.out_edges[1] == ()
+        assert all(1 not in nbrs for nbrs in view.out_edges)
+        assert view.out_edges[0] == (2,)
 
     def test_identical_rows_give_similarity_one(self):
-        sim = cosine_similarity(feats([[2.0, 1.0], [4.0, 2.0], [0.0, 3.0]])).values
-        assert sim[0, 1] == pytest.approx(1.0, abs=1e-15)
+        # node 1 is node 0 scaled, node 3 a copy of node 0: all three tie,
+        # and every tie goes to the lowest id
+        dense = [[2.0, 1.0], [4.0, 2.0], [0.0, 3.0], [2.0, 1.0]]
+        view = build_knn_view(feats(dense), k=1)
+        assert view.out_edges[0] == (1,)
+        assert view.out_edges[1] == (0,)
+        assert view.out_edges[3] == (0,)
+        assert build_knn_view(feats(dense), k=2).out_edges[3] == (0, 1)
 
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
-            cosine_similarity(feats([[1.0, 2.0]]))
+            build_knn_view(feats([[1.0, 2.0]]), k=1)
+        with pytest.raises(ValueError):
+            build_knn_view(feats(np.zeros((0, 2))), k=1)
 
 
 class TestTopKSelect:
@@ -68,9 +80,10 @@ class TestTopKSelect:
             build_knn_view(f, k=0)
         with pytest.raises(ValueError):
             build_knn_view(f, k=3)  # k must stay below the node count
-        sim = cosine_similarity(f)
         with pytest.raises(ValueError):
-            top_k_select(sim, 5)
+            build_knn_view(f, k=5)
+        with pytest.raises(ValueError):
+            build_knn_view(f, k=5, block_rows=2)
 
     def test_out_degree_capped_at_k(self):
         rng = np.random.default_rng(2)

@@ -7,8 +7,19 @@ import numpy as np
 import pytest
 
 import graphfactor.cli
+import graphfactor.interpret
 import graphfactor.pipeline
-from graphfactor import NumericalError, PipelineConfig, PipelineError, run_pipeline, sweep
+from graphfactor import (
+    NumericalError,
+    PipelineConfig,
+    PipelineError,
+    extract_embeddings,
+    load_labels,
+    load_model,
+    pruning_report,
+    run_pipeline,
+    sweep,
+)
 from graphfactor.cli import main
 from graphfactor.dataio import sha256_file
 from graphfactor.pipeline import STAGE_NAMES, default_run_root
@@ -37,6 +48,10 @@ def demo_config(paths, **overrides):
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def run_files(run_dir):
+    return sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
 
 
 class TestRunPipeline:
@@ -143,11 +158,22 @@ class TestRunPipeline:
         assert manifest["status"] == "ok"
         assert not (run_dir / "FAILED").exists()
 
+    def test_rerun_deletes_the_earlier_runs_artifacts_only(self, demo_paths, tmp_path):
+        pruned = demo_config(demo_paths, prune_threshold=1e-3, train_fractions=(0.3, 0.6))
+        run_pipeline(pruned, tmp_path / "run")
+        (tmp_path / "run" / "notes.txt").write_text("not a run artifact\n")
+        (tmp_path / "run" / "model" / "notes.txt").write_text("not a run artifact\n")
+        run_pipeline(demo_config(demo_paths), tmp_path / "run")
+        run_pipeline(demo_config(demo_paths), tmp_path / "fresh")
+        kept = ["model/notes.txt", "notes.txt"]
+        assert run_files(tmp_path / "run") == sorted(run_files(tmp_path / "fresh") + kept)
+
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
-        config = demo_config(demo_paths, k=0)
-        with pytest.raises(ValueError):
-            run_pipeline(config, tmp_path / "run")
-        assert not (tmp_path / "run").exists()
+        for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}):
+            config = demo_config(demo_paths, **bad)
+            with pytest.raises(ValueError):
+                run_pipeline(config, tmp_path / "run")
+            assert not (tmp_path / "run").exists()
 
     def test_feature_only_nodes_pad_the_adjacency(self, tmp_path):
         # features mention node 5, edges only reach node 3
@@ -170,11 +196,84 @@ class TestRunPipeline:
         stack = next(s for s in manifest["stages"] if s["name"] == "stack")
         assert stack["num_nodes"] == 6
 
+    @pytest.mark.parametrize("edge_nodes, feature_nodes", [(4, 6), (6, 4)])
+    def test_run_and_stagewise_reconcile_node_counts_alike(
+        self, tmp_path, edge_nodes, feature_nodes
+    ):
+        # one input names nodes the other never reaches
+        pairs = [(u, v) for u in range(edge_nodes) for v in range(u + 1, edge_nodes)
+                 if (u + v) % 3]
+        (tmp_path / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        (tmp_path / "features.txt").write_text("".join(
+            f"{n} {f}\n" for n in range(feature_nodes) for f in ((0, 1) if n % 2 else (1, 2))
+        ))
+        (tmp_path / "labels.txt").write_text("".join(f"{n} {n % 2}\n" for n in range(6)))
+        config = PipelineConfig(
+            edges=str(tmp_path / "edges.txt"),
+            features=str(tmp_path / "features.txt"),
+            labels=str(tmp_path / "labels.txt"),
+            k=2,
+            rank=2,
+            repeats=2,
+            max_iters=30,
+        )
+        run_dir = run_pipeline(config, tmp_path / "run")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        stack = next(s for s in manifest["stages"] if s["name"] == "stack")
+        assert (stack["num_nodes"], stack["views"]) == (6, 2)
+
+        knn, model = tmp_path / "knn.txt", tmp_path / "model"
+        assert main(["build-knn", "--features", config.features, "--k", "2",
+                     "--out", str(knn)]) == 0
+        assert main(["decompose", "--adj", config.edges, "--knn", str(knn),
+                     "--rank", "2", "--max-iters", "30", "--out", str(model)]) == 0
+        assert (model / "A.txt").read_text().splitlines()[0] == "6 2"
+        assert (model / "C.txt").read_text().splitlines()[0] == "2 2"
+        for name in ("A.txt", "B.txt", "C.txt", "scales.txt", "run.json"):
+            assert (model / name).read_bytes() == (run_dir / "model" / name).read_bytes()
+
     def test_default_run_root_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GRAPHFACTOR_RUNS", str(tmp_path / "elsewhere"))
         assert default_run_root() == tmp_path / "elsewhere"
         monkeypatch.delenv("GRAPHFACTOR_RUNS")
         assert default_run_root() == Path("runs")
+
+
+class TestPruningReportReuse:
+    THRESHOLD = 3.4  # removes one of the four demo dimensions
+
+    @pytest.mark.parametrize("source", ["A", "B"])
+    def test_report_equals_a_standalone_call(self, demo_paths, tmp_path, source):
+        config = demo_config(demo_paths, prune_threshold=self.THRESHOLD,
+                             train_fractions=(0.3, 0.6), embedding_source=source)
+        run_dir = run_pipeline(config, tmp_path / "run")
+        model = load_model(run_dir / "model")
+        standalone = pruning_report(
+            model,
+            extract_embeddings(model, "A"),
+            load_labels(demo_paths["labels"], num_nodes=30),
+            self.THRESHOLD,
+            eval_config={"train_fraction": 0.3, "repeats": 3, "seed": 0, "l2_strength": 1.0},
+        )
+        assert len(standalone["removed_dimensions"]) == 1
+        assert json.loads((run_dir / "pruning_report.json").read_text()) == standalone
+
+    def test_source_a_reuses_the_first_evaluation(self, demo_paths, tmp_path, monkeypatch):
+        calls = []
+        evaluate = graphfactor.interpret.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            calls.append(kwargs["train_fraction"])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(graphfactor.interpret, "evaluate", counting_evaluate)
+        config = demo_config(demo_paths, prune_threshold=self.THRESHOLD,
+                             train_fractions=(0.3, 0.6))
+        run_dir = run_pipeline(config, tmp_path / "run")
+        report = json.loads((run_dir / "pruning_report.json").read_text())
+        first = json.loads((run_dir / "eval_train_0p3.json").read_text())
+        assert report["evaluation_before"] == first
+        assert calls == [0.3]  # only the pruned embedding is evaluated again
 
 
 class TestSweep:
