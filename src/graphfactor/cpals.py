@@ -17,7 +17,6 @@ also run on one thread.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_blas_thread
-from .dataio import load_matrix, save_json, save_matrix
+from .dataio import load_json, load_matrix, parse_records, read_records, save_json, save_matrix
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp
 
@@ -227,17 +226,14 @@ def load_model(directory) -> FactorModel:
     a = load_matrix(directory / "A.txt")
     b = load_matrix(directory / "B.txt")
     c = load_matrix(directory / "C.txt")
-    try:
-        scale_text = (directory / "scales.txt").read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {directory / 'scales.txt'}: {exc}") from exc
-    scales = np.array([float(v) for v in scale_text.split()])
+    scales_path = directory / "scales.txt"
+    (scales,) = parse_records(scales_path, read_records(scales_path), "scale", "f")
     if not (a.shape[1] == b.shape[1] == c.shape[1] == scales.shape[0]):
         raise DataError(f"{directory}: factor ranks disagree")
     model = FactorModel(A=a, B=b, C=c, column_scales=scales)
     run_path = directory / "run.json"
     if run_path.exists():
-        record = json.loads(run_path.read_text(encoding="utf-8"))
+        record = load_json(run_path)
         model.fit_history = [float(v) for v in record.get("fit_history", [])]
         model.converged = bool(record.get("converged", False))
         model.iterations = int(record.get("iterations", len(model.fit_history)))

@@ -1,9 +1,10 @@
 """Loaders and writers for graphs, node features, labels, and embeddings.
 
 All on-disk formats are whitespace-delimited UTF-8 text over dense,
-0-indexed integer ids. Lines starting with '#' are comments; blank lines
-are skipped. Floats are written with ``repr`` so that save/load round
-trips are bit-exact.
+0-indexed integer ids. Every text input is read by ``read_records`` and
+``parse_records``: lines starting with '#' are comments, blank lines are
+skipped, and a malformed line raises ParseError naming file:line. Floats
+are written with ``repr`` so that save/load round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ class LabelSet:
     def labeled_nodes(self):
         return [v for v in range(self.num_nodes) if self.assignments[v]]
 
-    def check_within(self, num_nodes: int) -> None:
-        """Cross-check against a graph's node count at pipeline assembly."""
-        for v in range(self.num_nodes):
-            if self.assignments[v] and v >= num_nodes:
-                raise DataError(
-                    f"label assigned to node {v}, but the graph has only {num_nodes} nodes"
-                )
-
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
@@ -121,146 +114,136 @@ class EmbeddingMatrix:
         return self.rows.shape[1]
 
 
-def _iter_records(path):
-    """Yield (line_no, tokens) for non-comment, non-blank lines."""
-    path = Path(path)
+# Field kinds of a record: the token parser, the column dtype, the test each
+# parsed value must pass, and what the test asks for.
+_KINDS = {
+    "i": (int, np.int64, lambda a: a >= 0, "a nonnegative integer"),
+    "f": (float, np.float64, np.isfinite, "a finite number"),
+    "w": (float, np.float64, lambda a: np.isfinite(a) & (a >= 0), "a finite nonnegative number"),
+}
+
+
+def read_records(path) -> tuple:
+    """The records of a text input as (tokens, widths, line_nos).
+
+    A record is a line that is neither blank nor a '#' comment. ``tokens``
+    holds the whitespace-split fields of every record in file order;
+    ``widths`` and ``line_nos`` give each record's field count and line
+    number. A file that cannot be read, or has no records, raises DataError.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, stripped.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+        text = "\n".join(lines)
+    widths = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    line_nos = np.flatnonzero(widths) + 1
+    if not line_nos.size:
+        raise DataError(f"{path}: no records (the file is empty or only comments)")
+    return text.split(), widths[line_nos - 1], line_nos
 
 
-def _parse_id(token: str, path, line_no: int, what: str) -> int:
+def _valid(token: str, kind: str) -> bool:
+    parse, dtype, test, _ = _KINDS[kind]
     try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(path, line_no, f"{what} must be an integer, got {token!r}") from None
-    if value < 0:
-        raise ParseError(path, line_no, f"{what} must be nonnegative, got {value}")
-    return value
+        return bool(test(dtype(parse(token))))
+    except (ValueError, OverflowError):
+        return False
 
 
-def load_edge_list(path, num_nodes: int | None = None) -> Graph:
+def parse_records(path, records, usage: str, kinds: str, default: str | None = None) -> list:
+    """One array per field of ``records`` in the format ``usage``.
+
+    ``kinds`` has one letter of ``_KINDS`` per field. Given a ``default``
+    token, a record may leave out its last field. A record with another
+    field count, or a token that does not parse or fails its kind's test,
+    raises ParseError naming the first such line.
+    """
+    tokens, widths, line_nos = records
+    n = len(kinds)
+    miscounted = np.flatnonzero((widths != n) & (widths != (n if default is None else n - 1)))
+    if miscounted.size:
+        i = miscounted[0]
+        raise ParseError(path, int(line_nos[i]), f"expected '{usage}', got {widths[i]} fields")
+    short = widths < n
+    if short.any():  # give each record that left out the last field the default
+        tokens = np.insert(np.array(tokens, dtype=object), np.cumsum(widths)[short], default)
+    fields = [tokens[k::n] for k in range(n)]
+    columns, bad = [], []
+    for k, kind in enumerate(kinds):
+        parse, dtype, test, _ = _KINDS[kind]
+        try:
+            column = np.fromiter(map(parse, fields[k]), dtype, widths.size)
+            ok = bool(test(column).all())
+        except (ValueError, OverflowError):
+            column, ok = None, False
+        if not ok:
+            bad.append((next(i for i, t in enumerate(fields[k]) if not _valid(t, kind)), k))
+        columns.append(column)
+    if bad:
+        i, k = min(bad)
+        raise ParseError(path, int(line_nos[i]), f"field {k + 1} of '{usage}' must be "
+                         f"{_KINDS[kinds[k]][3]}, got {fields[k][i]!r}")
+    return columns
+
+
+def load_edge_list(path) -> Graph:
     """Parse an undirected edge list ("u v" per line).
 
     Duplicate edges are deduplicated and self-loops dropped (counted on
-    the returned Graph). ``num_nodes`` defaults to 1 + the largest id.
+    the returned Graph). The node count is 1 + the largest id.
     """
-    edges = set()
-    self_loops = 0
-    max_id = -1
-    for line_no, tokens in _iter_records(path):
-        if len(tokens) != 2:
-            raise ParseError(path, line_no, f"expected 'u v', got {len(tokens)} fields")
-        u = _parse_id(tokens[0], path, line_no, "node id")
-        v = _parse_id(tokens[1], path, line_no, "node id")
-        max_id = max(max_id, u, v)
-        if u == v:
-            self_loops += 1
-            continue
-        edges.add((min(u, v), max(u, v)))
+    u, v = parse_records(path, read_records(path), "u v", "ii")
+    kept = u != v
+    edges = frozenset(zip(np.minimum(u, v)[kept].tolist(), np.maximum(u, v)[kept].tolist()))
     if not edges:
-        raise DataError(f"{path}: edge list is empty")
-    inferred = max_id + 1
-    if num_nodes is None:
-        num_nodes = inferred
-    elif inferred > num_nodes:
-        raise DataError(
-            f"{path}: node id {max_id} exceeds declared node count {num_nodes}"
-        )
-    return Graph(num_nodes=num_nodes, edges=frozenset(edges), self_loops_dropped=self_loops)
+        raise DataError(f"{path}: edge list has no edges besides self-loops")
+    return Graph(num_nodes=int(max(u.max(), v.max())) + 1, edges=edges,
+                 self_loops_dropped=int(u.size - kept.sum()))
 
 
-def load_features(path, num_nodes: int | None = None,
-                  num_features: int | None = None) -> FeatureMatrix:
+def load_features(path) -> FeatureMatrix:
     """Parse sparse node features ("node feature [value]" per line).
 
     A missing value defaults to 1.0 (binary indicator features).
     Zero-valued triples are dropped; duplicate (node, feature) pairs are
-    summed. Values must be finite and nonnegative.
+    summed. Values must be finite and nonnegative. The node and feature
+    counts are 1 + the largest ids, zero-valued triples included.
     """
-    rows, cols, vals = [], [], []
-    max_node = -1
-    max_feat = -1
-    saw_record = False
-    for line_no, tokens in _iter_records(path):
-        if len(tokens) not in (2, 3):
-            raise ParseError(path, line_no, f"expected 'node feature [value]', got {len(tokens)} fields")
-        node = _parse_id(tokens[0], path, line_no, "node id")
-        feat = _parse_id(tokens[1], path, line_no, "feature id")
-        if len(tokens) == 3:
-            try:
-                value = float(tokens[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"feature value must be a number, got {tokens[2]!r}") from None
-        else:
-            value = 1.0
-        if not np.isfinite(value):
-            raise ParseError(path, line_no, f"feature value must be finite, got {value}")
-        if value < 0:
-            raise ParseError(path, line_no, f"feature value must be nonnegative, got {value}")
-        saw_record = True
-        max_node = max(max_node, node)
-        max_feat = max(max_feat, feat)
-        if value == 0.0:
-            continue
-        rows.append(node)
-        cols.append(feat)
-        vals.append(value)
-    if not saw_record:
-        raise DataError(f"{path}: feature file is empty")
-    if num_nodes is None:
-        num_nodes = max_node + 1
-    elif max_node >= num_nodes:
-        raise DataError(f"{path}: node id {max_node} exceeds declared node count {num_nodes}")
-    if num_features is None:
-        num_features = max_feat + 1
-    elif max_feat >= num_features:
-        raise DataError(f"{path}: feature id {max_feat} exceeds declared feature count {num_features}")
+    nodes, feats, vals = parse_records(
+        path, read_records(path), "node feature [value]", "iiw", default="1"
+    )
+    kept = vals != 0.0
     mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)),
-        shape=(num_nodes, num_features),
+        (vals[kept], (nodes[kept], feats[kept])),
+        shape=(int(nodes.max()) + 1, int(feats.max()) + 1),
     ).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
     return FeatureMatrix(matrix=mat)
 
 
-def load_labels(path, num_nodes: int | None = None,
-                num_labels: int | None = None) -> LabelSet:
-    """Parse node labels ("node label" per line, multi-label allowed)."""
-    pairs = []
-    max_node = -1
-    max_label = -1
-    for line_no, tokens in _iter_records(path):
-        if len(tokens) != 2:
-            raise ParseError(path, line_no, f"expected 'node label', got {len(tokens)} fields")
-        node = _parse_id(tokens[0], path, line_no, "node id")
-        label = _parse_id(tokens[1], path, line_no, "label id")
-        pairs.append((node, label))
-        max_node = max(max_node, node)
-        max_label = max(max_label, label)
-    if not pairs:
-        raise DataError(f"{path}: label file is empty")
+def load_labels(path, num_nodes: int | None = None) -> LabelSet:
+    """Parse node labels ("node label" per line, multi-label allowed).
+
+    ``num_nodes`` defaults to 1 + the largest node id; a label on a node
+    at or above a given count raises DataError.
+    """
+    nodes, labels = parse_records(path, read_records(path), "node label", "ii")
+    max_node = int(nodes.max())
     if num_nodes is None:
         num_nodes = max_node + 1
     elif max_node >= num_nodes:
         raise DataError(f"{path}: node id {max_node} exceeds declared node count {num_nodes}")
-    if num_labels is None:
-        num_labels = max_label + 1
-    elif max_label >= num_labels:
-        raise DataError(f"{path}: label id {max_label} exceeds declared label count {num_labels}")
     sets = [set() for _ in range(num_nodes)]
-    for node, label in pairs:
+    for node, label in zip(nodes.tolist(), labels.tolist()):
         sets[node].add(label)
     return LabelSet(
         num_nodes=num_nodes,
-        num_labels=num_labels,
+        num_labels=int(labels.max()) + 1,
         assignments=tuple(frozenset(s) for s in sets),
     )
 
@@ -279,35 +262,20 @@ def save_matrix(arr: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataError(f"{path}: header must be 'rows cols'")
-    try:
-        n_rows, n_cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise DataError(f"{path}: header must be two integers") from None
-    if len(lines) - 1 != n_rows:
-        raise DataError(f"{path}: header declares {n_rows} rows, file has {len(lines) - 1}")
-    out = np.empty((n_rows, n_cols), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != n_cols:
-            raise DataError(f"{path}: row {i} has {len(fields)} values, expected {n_cols}")
-        try:
-            out[i] = [float(f) for f in fields]
-        except ValueError:
-            raise DataError(f"{path}: row {i} contains a non-numeric value") from None
-    if not np.all(np.isfinite(out)):
-        raise DataError(f"{path}: matrix contains non-finite entries")
-    return out
+    """Read a matrix written by save_matrix: a 'rows cols' header record,
+    then one record of ``cols`` finite numbers per row."""
+    tokens, widths, line_nos = read_records(path)
+    head = int(widths[0])
+    n_rows, n_cols = (int(c[0]) for c in parse_records(
+        path, (tokens[:head], widths[:1], line_nos[:1]), "rows cols", "ii"))
+    if widths.size - 1 != n_rows:
+        raise DataError(f"{path}: header declares {n_rows} rows, file has {widths.size - 1}")
+    body = (tokens[head:], widths[1:], line_nos[1:])
+    # No row has more fields than the body has tokens, so a header that
+    # claims more columns fails on the first row all the same.
+    kinds = "f" * min(n_cols, len(body[0]) + 1)
+    columns = parse_records(path, body, f"{n_cols} values", kinds)
+    return np.array(columns, dtype=np.float64).reshape(n_cols, n_rows).T.copy()
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
@@ -324,6 +292,14 @@ def load_embeddings(path) -> EmbeddingMatrix:
 def save_json(obj, path) -> None:
     """Write a JSON record: two-space indent, sorted keys, final newline."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_json(path):
+    """Read a JSON record such as save_json writes."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def sha256_file(path) -> str:

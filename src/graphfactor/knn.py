@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import FeatureMatrix, _iter_records, _parse_id
-from .errors import DataError, ParseError
+from .dataio import FeatureMatrix, parse_records, read_records
 
 __all__ = [
     "KnnView",
@@ -113,27 +112,11 @@ def save_knn_edge_list(view: KnnView, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_directed_edge_list(path, num_nodes: int | None = None) -> sp.csr_matrix:
-    """Read a directed binary edge list into a sparse matrix."""
-    rows, cols = [], []
-    max_id = -1
-    for line_no, tokens in _iter_records(path):
-        if len(tokens) != 2:
-            raise ParseError(path, line_no, f"expected 'u v', got {len(tokens)} fields")
-        u = _parse_id(tokens[0], path, line_no, "node id")
-        v = _parse_id(tokens[1], path, line_no, "node id")
-        rows.append(u)
-        cols.append(v)
-        max_id = max(max_id, u, v)
-    if not rows:
-        raise DataError(f"{path}: directed edge list is empty")
-    inferred = max_id + 1
-    if num_nodes is None:
-        num_nodes = inferred
-    elif inferred > num_nodes:
-        raise DataError(f"{path}: node id {max_id} exceeds declared node count {num_nodes}")
-    vals = np.ones(len(rows))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes)).tocsr()
+def load_directed_edge_list(path) -> sp.csr_matrix:
+    """Read a directed binary edge list ("u v" per line) into a sparse matrix."""
+    rows, cols = parse_records(path, read_records(path), "u v", "ii")
+    n = int(max(rows.max(), cols.max())) + 1
+    mat = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.data[:] = 1.0
     return mat

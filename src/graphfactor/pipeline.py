@@ -13,7 +13,6 @@ directory, so the directory holds only the latest run's outputs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .cpals import AlsConfig, decompose, save_model
 from .dataio import (
     load_edge_list,
     load_features,
+    load_json,
     load_labels,
     save_embeddings,
     save_json,
@@ -380,7 +380,7 @@ def sweep(config: PipelineConfig, param: str, values, run_root=None) -> SweepRes
         except (PipelineError, ValueError):
             result.rows.append((value, None))
             continue
-        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest = load_json(run_dir / "manifest.json")
         eval_stage = next(s for s in manifest["stages"] if s["name"] == "evaluate")
         result.rows.append((value, eval_stage["reports"][0]["micro_f1_mean"]))
     return result

@@ -47,9 +47,6 @@ class Tensor3:
     def _norm_sq(self) -> float:
         return float(sum(s.multiply(s).sum() for s in self.slices))
 
-    def to_dense(self) -> np.ndarray:
-        return np.stack([s.toarray() for s in self.slices], axis=2)
-
     @classmethod
     def from_slices(cls, slices) -> "Tensor3":
         if len(slices) < 1:

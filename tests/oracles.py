@@ -224,3 +224,22 @@ def oracle_pearson(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(uc @ vc / (nu * nv))
+
+
+# ---------------------------------------------------------- text formats
+
+
+def oracle_id_pairs(text: str) -> list:
+    """The (a, b) integer pairs of a two-column text table, line by line.
+
+    A line that is empty after stripping, or whose first character after
+    stripping is '#', holds no pair.
+    """
+    pairs = []
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if stripped == "" or stripped[0] == "#":
+            continue
+        first, second = stripped.split()
+        pairs.append((int(first), int(second)))
+    return pairs

@@ -24,7 +24,7 @@ from graphfactor import (
     save_model,
 )
 from graphfactor._blas import openblas_thread_controls
-from graphfactor.errors import DataError, NumericalError
+from graphfactor.errors import DataError, NumericalError, ParseError
 
 from oracles import oracle_als, oracle_als_sweep
 
@@ -369,4 +369,14 @@ class TestModelIO:
         save_model(m, tmp_path / "model")
         (tmp_path / "model" / "scales.txt").write_text("1.0\n", encoding="utf-8")
         with pytest.raises(DataError):
+            load_model(tmp_path / "model")
+
+    @pytest.mark.parametrize("bad", ["nan", "abc", "-inf", "1.0 2.0"])
+    def test_scales_must_be_one_finite_number_per_line(self, tmp_path, bad):
+        rng = np.random.default_rng(15)
+        x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
+        m = decompose(x, AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12))
+        save_model(m, tmp_path / "model")
+        (tmp_path / "model" / "scales.txt").write_text(f"1.0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"scales\.txt:2:"):
             load_model(tmp_path / "model")

@@ -2,18 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphfactor import (
     DataError,
     EmbeddingMatrix,
+    Graph,
     ParseError,
     load_edge_list,
     load_embeddings,
     load_features,
     load_labels,
+    load_model,
     save_embeddings,
 )
 from graphfactor.dataio import load_matrix, save_matrix, sha256_file
+from graphfactor.knn import load_directed_edge_list
+
+from oracles import oracle_id_pairs
+
+# Fixed example generation, so that every run tries the same inputs.
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 def write(tmp_path, name, text):
@@ -47,12 +58,6 @@ class TestLoadEdgeList:
         assert np.array_equal(adj, adj.T)
         assert np.all(np.diag(adj) == 0)
         assert adj.sum() == 4  # each undirected edge stored twice
-
-    def test_declared_node_count(self, tmp_path):
-        p = write(tmp_path, "e.txt", "0 1\n")
-        assert load_edge_list(p, num_nodes=10).num_nodes == 10
-        with pytest.raises(DataError):
-            load_edge_list(p, num_nodes=1)
 
     @pytest.mark.parametrize(
         "line",
@@ -104,13 +109,6 @@ class TestLoadFeatures:
         with pytest.raises(ParseError):
             load_features(p)
 
-    def test_declared_bounds(self, tmp_path):
-        p = write(tmp_path, "f.txt", "0 5\n")
-        f = load_features(p, num_nodes=3, num_features=10)
-        assert (f.num_nodes, f.num_features) == (3, 10)
-        with pytest.raises(DataError):
-            load_features(p, num_features=5)
-
     def test_empty_rejected(self, tmp_path):
         p = write(tmp_path, "f.txt", "\n")
         with pytest.raises(DataError):
@@ -136,19 +134,10 @@ class TestLoadLabels:
 
     def test_declared_bounds(self, tmp_path):
         p = write(tmp_path, "l.txt", "0 1\n")
-        ls = load_labels(p, num_nodes=5, num_labels=4)
-        assert (ls.num_nodes, ls.num_labels) == (5, 4)
-        with pytest.raises(DataError):
-            load_labels(p, num_labels=1)
+        ls = load_labels(p, num_nodes=5)
+        assert (ls.num_nodes, ls.num_labels) == (5, 2)
         with pytest.raises(DataError):
             load_labels(p, num_nodes=0)
-
-    def test_check_within(self, tmp_path):
-        p = write(tmp_path, "l.txt", "4 0\n")
-        ls = load_labels(p)
-        with pytest.raises(DataError):
-            ls.check_within(3)
-        ls.check_within(5)
 
     @pytest.mark.parametrize("line", ["0", "0 1 2", "a 0", "0 -1"])
     def test_malformed_lines(self, tmp_path, line):
@@ -210,3 +199,122 @@ class TestMatrixFormat:
         assert sha256_file(p) == sha256_file(p)
         with pytest.raises(DataError):
             sha256_file(tmp_path / "absent.txt")
+
+
+# ------------------------------------------------- every text input format
+
+
+def _load_scales(path):
+    """load_model on a rank-4 model directory whose scales.txt is ``path``."""
+    for name in ("A.txt", "B.txt", "C.txt"):
+        save_matrix(np.ones((2, 4)), path.parent / name)
+    return load_model(path.parent).column_scales
+
+
+# Format name: file name, loader, four valid records, a malformed record.
+FORMATS = {
+    "edges": ("e.txt", load_edge_list, ["0 1", "1 2", "2 0", "3 1"], "2 x"),
+    "features": (
+        "f.txt", lambda p: load_features(p).matrix.toarray(),
+        ["0 0", "0 2 0.5", "1 1 2.0", "2 0"], "1 1 -2.0",
+    ),
+    "labels": ("l.txt", load_labels, ["0 1", "1 0", "2 1", "2 0"], "2"),
+    "knn": (
+        "z.txt", lambda p: load_directed_edge_list(p).toarray(),
+        ["0 1", "1 0", "2 1", "1 2"], "2 1 0",
+    ),
+    "matrix": ("m.txt", load_matrix, ["3 2", "1.0 2.0", "3.0 4.0", "5.0 6.0"], "3.0 inf"),
+    "scales": ("scales.txt", _load_scales, ["1.5", "2.5", "0.5", "4.0"], "nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+class TestEveryFormat:
+    def test_malformed_line_is_named(self, tmp_path, name):
+        filename, load, records, bad = FORMATS[name]
+        p = write(tmp_path, filename, "\n".join(records[:2] + [bad] + records[3:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load(p)
+        assert err.value.line_no == 3
+        assert f"{filename}:3:" in str(err.value)
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, name):
+        filename, load, records, _ = FORMATS[name]
+        plain, mixed = tmp_path / "plain", tmp_path / "mixed"
+        plain.mkdir()
+        mixed.mkdir()
+        want = load(write(plain, filename, "\n".join(records) + "\n"))
+        text = "# leading\n\n" + "\n  \n# between\n".join(records) + "\n\t\n# trailing"
+        got = load(write(mixed, filename, text))
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+# --------------------------------------------------------- property tests
+
+JUNK_LINES = st.lists(st.sampled_from(["", "   ", "\t", "#", "# comment", "  # 1 2"]), max_size=2)
+SPACES = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def id_tables(draw):
+    """A valid two-column id table with comment and blank lines mixed in."""
+    ids = st.integers(0, 40)
+    pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=30))
+    lines = []
+    for a, b in pairs:
+        lines += draw(JUNK_LINES)
+        lines.append(f"{draw(SPACES)}{a} {draw(SPACES)}{b}{draw(SPACES)}")
+    lines += draw(JUNK_LINES)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _finite_matrices():
+    shapes = st.tuples(st.integers(0, 6), st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return hnp.arrays(np.float64, shapes, elements=finite)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(text=id_tables())
+    def test_id_tables_load_as_the_oracle_reads_them(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("table") / "t.txt"
+        p.write_text(text, encoding="utf-8")
+        pairs = oracle_id_pairs(text)
+        n_first = 1 + max(a for a, _ in pairs)
+        n_second = 1 + max(b for _, b in pairs)
+        n = max(n_first, n_second)
+
+        directed = np.zeros((n, n))
+        counts = np.zeros((n_first, n_second))
+        sets = [set() for _ in range(n_first)]
+        for a, b in pairs:
+            directed[a, b] = 1.0
+            counts[a, b] += 1.0
+            sets[a].add(b)
+        assert np.array_equal(load_directed_edge_list(p).toarray(), directed)
+        assert np.array_equal(load_features(p).matrix.toarray(), counts)
+        labels = load_labels(p)
+        assert labels.num_labels == n_second
+        assert labels.assignments == tuple(frozenset(s) for s in sets)
+
+        edges = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+        if not edges:
+            with pytest.raises(DataError):
+                load_edge_list(p)
+            return
+        loops = sum(a == b for a, b in pairs)
+        assert load_edge_list(p) == Graph(num_nodes=n, edges=edges, self_loops_dropped=loops)
+
+    @PROPERTY_SETTINGS
+    @given(arr=_finite_matrices())
+    @example(arr=np.array([
+        [0.0, -0.0, 5e-324, -5e-324],
+        [1e308, -1e308, 2.2250738585072014e-308, -1.7976931348623157e308],
+    ]))
+    def test_save_then_load_matrix_is_bit_exact(self, tmp_path_factory, arr):
+        p = tmp_path_factory.mktemp("matrix") / "m.txt"
+        save_matrix(arr, p)
+        back = load_matrix(p)
+        assert back.dtype == np.float64 and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()  # -0.0 and 0.0 differ here
