@@ -119,7 +119,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_interpret(args) -> int:
     model = load_model(args.model)
-    table = view_weights(model, threshold=args.threshold)
+    table = view_weights(model)
     write_weights_csv(table, args.out)
     print(f"wrote {args.out}: {table.num_dims} dimensions x {table.num_views} views")
     if not args.prune_eval:

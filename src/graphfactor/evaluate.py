@@ -31,28 +31,19 @@ __all__ = [
     "stratified_split",
 ]
 
-PREDICT_MODES = ("single-label", "multi-label-topk")
-
 
 @dataclass(frozen=True)
 class OvrClassifier:
     """One binary logistic model per label.
 
-    l2_strength is the inverse regularization strength: the penalty on
-    label j's weight vector is ||w_j||^2 / (2 * l2_strength). Labels
-    with no positive training examples are degenerate: they always
-    predict negative and are flagged in degenerate_labels.
+    Labels with no positive training examples are degenerate: they
+    always predict negative and are flagged in degenerate_labels.
     """
 
     num_labels: int
     weights: np.ndarray
     biases: np.ndarray
-    l2_strength: float
     degenerate_labels: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass
@@ -122,107 +113,107 @@ def _fit_binary(x: np.ndarray, y: np.ndarray, l2_strength: float):
     return result.x[:dim], float(result.x[dim])
 
 
+def _indicator(label_sets, universe) -> np.ndarray:
+    """Boolean matrix whose row i marks the labels of label_sets[i], with
+    column j standing for label universe[j]; other labels are left out."""
+    column = {label: j for j, label in enumerate(universe)}
+    rows = [row for row, held in enumerate(label_sets) for l in held if l in column]
+    cols = [column[l] for held in label_sets for l in held if l in column]
+    out = np.zeros((len(label_sets), len(column)), dtype=bool)
+    out[rows, cols] = True
+    return out
+
+
 def train_ovr(
     emb: EmbeddingMatrix,
     labels: LabelSet,
     train_idx,
     l2_strength: float = 1.0,
 ) -> OvrClassifier:
-    """Fit one binary classifier per label on the given training nodes."""
-    train_idx = [int(i) for i in train_idx]
-    if not train_idx:
+    """Fit one binary classifier per label on the given training nodes.
+
+    The penalty on label j's weight vector is ||w_j||^2 / (2 * l2_strength).
+    """
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    if train_idx.size == 0:
         raise ValueError("train_idx must be nonempty")
     if not l2_strength > 0:
         raise ValueError(f"l2_strength must be positive, got {l2_strength}")
-    for node in train_idx:
-        if node < 0 or node >= emb.num_nodes:
-            raise ValueError(f"train node {node} outside embedding rows")
-        if not labels.labels_of(node):
-            raise ValueError(f"train node {node} has no labels")
+    outside = (train_idx < 0) | (train_idx >= emb.num_nodes)
+    if outside.any():
+        raise ValueError(f"train node {train_idx[outside][0]} outside embedding rows")
+    members = _indicator(labels.assignments, range(labels.num_labels))[train_idx]
+    unlabeled = ~members.any(axis=1)
+    if unlabeled.any():
+        raise ValueError(f"train node {train_idx[unlabeled][0]} has no labels")
 
     x = emb.rows[train_idx]
+    targets = np.where(members, 1.0, -1.0)
+    positive = members.any(axis=0)
     weights = np.zeros((labels.num_labels, emb.dim))
     biases = np.zeros(labels.num_labels)
-    degenerate = []
-    for label in range(labels.num_labels):
-        y = np.array(
-            [1.0 if label in labels.labels_of(n) else -1.0 for n in train_idx]
-        )
-        if not np.any(y > 0):
-            degenerate.append(label)
-            continue
-        weights[label], biases[label] = _fit_binary(x, y, l2_strength)
+    for label in np.flatnonzero(positive):
+        weights[label], biases[label] = _fit_binary(x, targets[:, label], l2_strength)
     return OvrClassifier(
         num_labels=labels.num_labels,
         weights=weights,
         biases=biases,
-        l2_strength=l2_strength,
-        degenerate_labels=tuple(degenerate),
+        degenerate_labels=tuple(np.flatnonzero(~positive).tolist()),
     )
 
 
-def _score_matrix(clf: OvrClassifier, rows: np.ndarray) -> np.ndarray:
-    scores = rows @ clf.weights.T + clf.biases
-    for label in clf.degenerate_labels:
-        scores[:, label] = -np.inf
-    return scores
+def predict(clf: OvrClassifier, rows: np.ndarray, k) -> np.ndarray:
+    """Each row's k highest-scoring labels, as a boolean row-by-label matrix.
 
-
-def _top_k(scores: np.ndarray, k: int) -> frozenset:
-    """k highest-scoring labels; ties broken toward the lowest label id."""
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return frozenset(int(label) for label in order[:k])
-
-
-def predict(
-    clf: OvrClassifier,
-    emb: EmbeddingMatrix,
-    node: int,
-    mode: str = "single-label",
-    k: int | None = None,
-) -> frozenset:
-    """Predicted label set for one node.
-
-    single-label returns the argmax label; multi-label-topk returns the
-    k best labels and requires k (callers pass the node's true label
-    count).
+    rows holds one embedding vector per row; k is one label count for
+    every row or one per row, each in [1, num_labels]. Degenerate labels
+    score -inf, and ties go to the lowest label id.
     """
-    if mode not in PREDICT_MODES:
-        raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
-    if node < 0 or node >= emb.num_nodes:
-        raise ValueError(f"node {node} outside embedding rows")
-    scores = _score_matrix(clf, emb.rows[node : node + 1])[0]
-    if mode == "single-label":
-        return _top_k(scores, 1)
-    if k is None:
-        raise ValueError("multi-label-topk requires k")
-    if k < 1 or k > clf.num_labels:
+    k = np.broadcast_to(np.asarray(k), (rows.shape[0],))
+    if np.any(k < 1) or np.any(k > clf.num_labels):
         raise ValueError(f"k must be in [1, {clf.num_labels}], got {k}")
-    return _top_k(scores, k)
+    scores = rows @ clf.weights.T + clf.biases
+    scores[:, list(clf.degenerate_labels)] = -np.inf
+    order = np.argsort(-scores, axis=1, kind="stable")
+    picked = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(picked, order, np.arange(clf.num_labels) < k[:, None], axis=1)
+    return picked
 
 
-def _pooled_counts(predicted, truth) -> tuple[int, int, int]:
-    tp = fp = fn = 0
-    for pred, true in zip(predicted, truth):
-        pred = frozenset(pred)
-        true = frozenset(true)
-        tp += len(pred & true)
-        fp += len(pred - true)
-        fn += len(true - pred)
-    return tp, fp, fn
+def _f1_scores(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """(Micro-F1, Macro-F1) of boolean row-by-label predictions.
+
+    A label with no true and no predicted rows has F1 0.
+    """
+    tp = (predicted & truth).sum(axis=0)
+    denom = predicted.sum(axis=0) + truth.sum(axis=0)  # 2 TP + FP + FN per label
+    micro = 2 * int(tp.sum()) / max(int(denom.sum()), 1)
+    per_label = np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+    # Summed left to right in label order: np.sum adds pairwise from 8
+    # terms up, which can change the last bit.
+    total = 0.0
+    for value in per_label.tolist():
+        total += value
+    return micro, total / max(per_label.size, 1)
 
 
-def micro_f1(predicted, truth) -> float:
-    """F1 over TP/FP/FN pooled across every label and node."""
-    predicted = list(predicted)
-    truth = list(truth)
+def _label_matrices(predicted, truth, num_labels=None):
+    """Indicator matrices of two label-set lists over labels 0..num_labels-1,
+    or over the labels seen in either list when num_labels is None."""
+    predicted = [frozenset(p) for p in predicted]
+    truth = [frozenset(t) for t in truth]
     if len(predicted) != len(truth):
         raise ValueError("predicted and truth must cover the same nodes")
     if not predicted:
         raise ValueError("cannot score an empty evaluation set")
-    tp, fp, fn = _pooled_counts(predicted, truth)
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    seen = sorted(set().union(*predicted, *truth))
+    universe = seen if num_labels is None else range(num_labels)
+    return _indicator(predicted, universe), _indicator(truth, universe)
+
+
+def micro_f1(predicted, truth) -> float:
+    """F1 over TP/FP/FN pooled across every label and node."""
+    return _f1_scores(*_label_matrices(predicted, truth))[0]
 
 
 def macro_f1(predicted, truth, num_labels: int | None = None) -> float:
@@ -232,30 +223,10 @@ def macro_f1(predicted, truth, num_labels: int | None = None) -> float:
     label universe is 0..num_labels-1 when given, else the union of
     labels seen in truth or predictions.
     """
-    predicted = [frozenset(p) for p in predicted]
-    truth = [frozenset(t) for t in truth]
-    if len(predicted) != len(truth):
-        raise ValueError("predicted and truth must cover the same nodes")
-    if not predicted:
-        raise ValueError("cannot score an empty evaluation set")
-    if num_labels is None:
-        universe = sorted(set().union(*predicted, *truth))
-    else:
-        universe = list(range(num_labels))
-    if not universe:
+    predicted, truth = _label_matrices(predicted, truth, num_labels)
+    if not truth.shape[1]:
         raise ValueError("no labels to score")
-    total = 0.0
-    for label in universe:
-        tp = fp = fn = 0
-        for pred, true in zip(predicted, truth):
-            hit_pred = label in pred
-            hit_true = label in true
-            tp += hit_pred and hit_true
-            fp += hit_pred and not hit_true
-            fn += hit_true and not hit_pred
-        denom = 2 * tp + fp + fn
-        total += 2 * tp / denom if denom else 0.0
-    return total / len(universe)
+    return _f1_scores(predicted, truth)[1]
 
 
 def stratified_split(
@@ -320,23 +291,18 @@ def evaluate(
             f"label file references node {max(labeled)} but embeddings "
             f"have {emb.num_nodes} rows"
         )
-    micro_scores = []
-    macro_scores = []
+    members = _indicator(labels.assignments, range(labels.num_labels))
+    scores = []
     degenerate_counts = []
     for rep in range(repeats):
         rng = np.random.default_rng([seed, rep])
         train_idx, test_idx = stratified_split(labels, train_fraction, rng)
         clf = train_ovr(emb, labels, train_idx, l2_strength)
-        scores = _score_matrix(clf, emb.rows[test_idx])
-        predicted = []
-        truth = []
-        for pos, node in enumerate(test_idx):
-            true = labels.labels_of(node)
-            predicted.append(_top_k(scores[pos], len(true)))
-            truth.append(true)
-        micro_scores.append(micro_f1(predicted, truth))
-        macro_scores.append(macro_f1(predicted, truth, num_labels=labels.num_labels))
+        truth = members[test_idx]
+        predicted = predict(clf, emb.rows[test_idx], truth.sum(axis=1))
+        scores.append(_f1_scores(predicted, truth))
         degenerate_counts.append(len(clf.degenerate_labels))
+    micro_scores, macro_scores = zip(*scores)
     return EvalReport(
         train_fraction=train_fraction,
         repeats=repeats,

@@ -43,10 +43,9 @@ class ViewWeightTable:
     num_views: int
     num_dims: int
     weights: np.ndarray
-    threshold: float | None = None
 
 
-def view_weights(model: FactorModel, threshold: float | None = None) -> ViewWeightTable:
+def view_weights(model: FactorModel) -> ViewWeightTable:
     """Per-view contribution of each dimension.
 
     Computed on the canonical form (node factors column-normalized), so
@@ -58,7 +57,6 @@ def view_weights(model: FactorModel, threshold: float | None = None) -> ViewWeig
         num_views=weights.shape[0],
         num_dims=weights.shape[1],
         weights=weights,
-        threshold=threshold,
     )
 
 

@@ -282,7 +282,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
 
     def stage_interpret() -> dict:
         model = state["model"]
-        table = view_weights(model, threshold=config.prune_threshold)
+        table = view_weights(model)
         write_weights_csv(table, run_dir / "weights.csv")
         details: dict = {"weights_csv": "weights.csv"}
         if config.prune_threshold is not None:

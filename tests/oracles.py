@@ -183,6 +183,11 @@ def oracle_logistic_newton(
     return theta[:dim], theta[dim]
 
 
+def oracle_top_k(scores, k: int) -> list:
+    """The k best labels of one score vector, ties toward the lower id."""
+    return sorted(range(len(scores)), key=lambda label: (-scores[label], label))[:k]
+
+
 # ----------------------------------------------------------------- F1
 
 

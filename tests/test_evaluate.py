@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfactor import (
     EmbeddingMatrix,
@@ -12,9 +14,11 @@ from graphfactor import (
     predict,
     train_ovr,
 )
-from graphfactor.evaluate import logistic_loss, stratified_split
+from graphfactor.evaluate import OvrClassifier, logistic_loss, stratified_split
 
-from oracles import oracle_logistic_newton, oracle_macro_f1, oracle_micro_f1
+from oracles import oracle_logistic_newton, oracle_macro_f1, oracle_micro_f1, oracle_top_k
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
 
 def labelset(assignments, num_labels=None):
@@ -28,13 +32,17 @@ def emb_of(rows):
     return EmbeddingMatrix(rows=np.asarray(rows, dtype=float))
 
 
+def picked_sets(picked):
+    """The label sets a boolean row-by-label prediction holds, row by row."""
+    return [set(np.flatnonzero(row).tolist()) for row in picked]
+
+
 class TestTrainOvr:
     def test_separable_toy_reaches_perfect_training_accuracy(self):
         emb = emb_of([[1.0, 0.0], [1.2, 0.0], [-1.0, 0.0], [-0.8, 0.0]])
         labels = labelset([{0}, {0}, {1}, {1}])
         clf = train_ovr(emb, labels, [0, 1, 2, 3])
-        for node, want in enumerate([0, 0, 1, 1]):
-            assert predict(clf, emb, node) == {want}
+        assert picked_sets(predict(clf, emb.rows, 1)) == [{0}, {0}, {1}, {1}]
 
     def test_identical_embeddings_hit_entropy_bound(self):
         emb = emb_of([[0.5, 0.5]] * 10)
@@ -76,8 +84,7 @@ class TestTrainOvr:
         clf = train_ovr(emb, labels, [0, 1, 2])
         assert clf.degenerate_labels == (2,)
         # the degenerate label is never predicted
-        for node in range(3):
-            assert 2 not in predict(clf, emb, node)
+        assert not predict(clf, emb.rows, 1)[:, 2].any()
 
     def test_preconditions(self):
         emb = emb_of([[1.0], [2.0]])
@@ -105,44 +112,68 @@ class TestPredict:
     def clf_with_scores(self, scores):
         """Classifier whose per-label score for the all-ones 1-d embedding
         equals the given vector (weights zero, biases = scores)."""
-        from graphfactor.evaluate import OvrClassifier
-
         scores = np.asarray(scores, dtype=float)
         return OvrClassifier(
             num_labels=scores.size,
             weights=np.zeros((scores.size, 1)),
             biases=scores,
-            l2_strength=1.0,
         )
 
     def test_single_label_argmax(self):
         clf = self.clf_with_scores([0.1, 0.9, 0.4])
-        assert predict(clf, emb_of([[1.0]]), 0, "single-label") == {1}
+        assert picked_sets(predict(clf, np.ones((1, 1)), 1)) == [{1}]
 
     def test_tie_goes_to_lowest_label(self):
         clf = self.clf_with_scores([0.5, 0.5])
-        assert predict(clf, emb_of([[1.0]]), 0, "single-label") == {0}
+        assert picked_sets(predict(clf, np.ones((1, 1)), 1)) == [{0}]
 
     def test_topk_size_and_content(self):
         clf = self.clf_with_scores([0.3, 0.9, 0.5, 0.1])
-        got = predict(clf, emb_of([[1.0]]), 0, "multi-label-topk", k=2)
-        assert got == {1, 2}
+        assert picked_sets(predict(clf, np.ones((1, 1)), 2)) == [{1, 2}]
 
     def test_topk_ties_prefer_lower_ids(self):
         clf = self.clf_with_scores([0.5, 0.5, 0.5])
-        assert predict(clf, emb_of([[1.0]]), 0, "multi-label-topk", k=2) == {0, 1}
+        assert picked_sets(predict(clf, np.ones((1, 1)), 2)) == [{0, 1}]
 
-    def test_mode_and_k_validation(self):
+    def test_one_k_per_row(self):
+        clf = OvrClassifier(
+            num_labels=3, weights=np.array([[1.0], [-1.0], [0.0]]), biases=np.zeros(3)
+        )
+        rows = np.array([[1.0], [-1.0], [0.0]])
+        got = predict(clf, rows, np.array([1, 2, 3]))
+        assert got.shape == (3, 3)
+        assert picked_sets(got) == [{0}, {1, 2}, {0, 1, 2}]
+
+    def test_k_validation(self):
         clf = self.clf_with_scores([0.5, 0.5])
-        emb = emb_of([[1.0]])
+        rows = np.ones((2, 1))
         with pytest.raises(ValueError):
-            predict(clf, emb, 0, "best-guess")
+            predict(clf, rows, 0)
         with pytest.raises(ValueError):
-            predict(clf, emb, 0, "multi-label-topk")
+            predict(clf, rows, 3)
         with pytest.raises(ValueError):
-            predict(clf, emb, 0, "multi-label-topk", k=3)
-        with pytest.raises(ValueError):
-            predict(clf, emb, 5, "single-label")
+            predict(clf, rows, np.array([1, 0]))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_matches_per_row_oracle(self, data):
+        num_labels = data.draw(st.integers(1, 6))
+        num_rows = data.draw(st.integers(1, 8))
+        values = st.sampled_from([-1.5, 0.0, 0.25, 2.0])
+        scores = np.array(
+            data.draw(st.lists(st.lists(values, min_size=num_labels, max_size=num_labels),
+                               min_size=num_rows, max_size=num_rows))
+        )
+        degenerate = sorted(data.draw(st.sets(st.integers(0, num_labels - 1))))
+        k = np.array(data.draw(st.lists(st.integers(1, num_labels),
+                                        min_size=num_rows, max_size=num_rows)))
+        # identity weights: each row's scores are the row itself
+        clf = OvrClassifier(num_labels=num_labels, weights=np.eye(num_labels),
+                            biases=np.zeros(num_labels), degenerate_labels=tuple(degenerate))
+        masked = scores.copy()
+        masked[:, degenerate] = -np.inf
+        want = [set(oracle_top_k(row, int(kr))) for row, kr in zip(masked, k)]
+        assert picked_sets(predict(clf, scores, k)) == want
 
 
 class TestF1Metrics:
@@ -180,6 +211,23 @@ class TestF1Metrics:
             assert macro_f1(predicted, truth, num_labels=n_labels) == pytest.approx(
                 oracle_macro_f1(predicted, truth, labels)
             )
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_match_oracles_exactly(self, data):
+        # At most 7 labels: the oracle's np.mean adds pairwise from 8 terms up.
+        num_labels = data.draw(st.integers(1, 7))
+        one_set = st.sets(st.integers(0, num_labels - 1))
+        truth = data.draw(st.lists(one_set, min_size=1, max_size=12))
+        predicted = data.draw(st.lists(one_set, min_size=len(truth), max_size=len(truth)))
+        universe = range(num_labels)
+        assert micro_f1(predicted, truth) == oracle_micro_f1(predicted, truth, universe)
+        assert macro_f1(predicted, truth, num_labels) == oracle_macro_f1(
+            predicted, truth, universe
+        )
+        seen = sorted(set().union(*predicted, *truth))
+        if seen:
+            assert macro_f1(predicted, truth) == oracle_macro_f1(predicted, truth, seen)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)

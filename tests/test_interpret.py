@@ -1,5 +1,7 @@
 """Tests for the view-weight table, pruning report, and correlations."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,6 @@ class TestViewWeights:
         assert table.num_views == 2
         assert table.num_dims == 2
         np.testing.assert_allclose(table.weights, [[0.5, 0.05], [0.4, 0.01]])
-        assert table.threshold is None
 
     def test_invariant_to_scale_representation(self):
         rng = np.random.default_rng(0)
@@ -86,7 +87,7 @@ class TestViewWeights:
             scales=[1.0, 1.0, 1.0],
         )
         path = tmp_path / "weights.csv"
-        write_weights_csv(view_weights(model, threshold=0.3), path)
+        write_weights_csv(view_weights(model), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "dimension,view_0,view_1"
         assert lines[1] == "0,0.5,1.0"
@@ -96,7 +97,7 @@ class TestViewWeights:
 
     def test_table_is_plain_dataclass(self):
         table = ViewWeightTable(num_views=1, num_dims=1, weights=np.ones((1, 1)))
-        assert table.threshold is None
+        assert [f.name for f in fields(table)] == ["num_views", "num_dims", "weights"]
 
 
 class TestDimensionCorrelation:
