@@ -180,7 +180,11 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
 
     Non-convergence within max_iters is not an error; the returned model
     carries a converged flag and the full per-iteration fit history.
-    Every loaded OpenBLAS runs on one thread until this returns.
+    The history comes from the expanded fit identity (``tensor.fit``), so
+    near an exact fit it is only accurate to about sqrt(eps): it can drop
+    by a few times 1e-8 between sweeps, and a tol below that level may
+    not stop the sweeps early. Every loaded OpenBLAS runs on one thread
+    until this returns.
     """
     config.validate()
     if x.nnz == 0:

@@ -142,6 +142,9 @@ def train_ovr(
     outside = (train_idx < 0) | (train_idx >= emb.num_nodes)
     if outside.any():
         raise ValueError(f"train node {train_idx[outside][0]} outside embedding rows")
+    beyond = train_idx >= labels.num_nodes
+    if beyond.any():
+        raise ValueError(f"train node {train_idx[beyond][0]} outside the label set")
     members = _indicator(labels.assignments, range(labels.num_labels))[train_idx]
     unlabeled = ~members.any(axis=1)
     if unlabeled.any():

@@ -23,30 +23,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Peak working set of one row block, in bytes per similarity entry (one
+# row-column pair). The dense steps hold 16-20: the sparse dot product
+# (8-byte value, 4-byte index) next to its dense copy, then the block next
+# to its denominators or its partition copy. The candidate arrays of
+# _select_block reach ~41 when every similarity of a row ties.
+_BYTES_PER_ENTRY = 48
+# Byte budget that sizes the row blocks when ``block_rows`` is None.
+_BLOCK_BYTES = 64 * 2**20
+
+
+@dataclass(frozen=True, eq=False)
 class KnnView:
-    """Directed proximity view: per-node neighbors in selection order."""
+    """Directed proximity view in CSR form: node v's neighbors, in selection
+    order, are ``indices[indptr[v]:indptr[v + 1]]``."""
 
     num_nodes: int
     k: int
-    out_edges: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def directed_edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.out_edges)
+        return int(self.indptr[-1])
 
     def deficient_nodes(self):
         """Nodes with fewer than k strictly positive similarities."""
-        return [v for v, nbrs in enumerate(self.out_edges) if len(nbrs) < self.k]
+        return np.flatnonzero(np.diff(self.indptr) < self.k).tolist()
 
     def to_csr(self) -> sp.csr_matrix:
-        rows, cols = [], []
-        for v, nbrs in enumerate(self.out_edges):
-            rows.extend([v] * len(nbrs))
-            cols.extend(nbrs)
-        vals = np.ones(len(rows))
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
-        return mat.tocsr()
+        n = self.num_nodes
+        mat = sp.csr_matrix(
+            (np.ones(self.indices.size), self.indices, self.indptr), shape=(n, n))
+        mat.sort_indices()
+        return mat
 
 
 def _row_norms(matrix: sp.csr_matrix) -> np.ndarray:
@@ -54,15 +64,24 @@ def _row_norms(matrix: sp.csr_matrix) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _select_row(row: np.ndarray, k: int):
-    """Indices of the k largest strictly positive entries, ties by index."""
-    order = np.argsort(-row, kind="stable")
-    picked = []
-    for idx in order[:k]:
-        if row[idx] <= 0.0:
-            break
-        picked.append(int(idx))
-    return tuple(picked)
+def _select_block(neg: np.ndarray, k: int):
+    """(row, column) of each row's k smallest strictly negative entries of
+    ``neg`` (negated similarities): rows ascending, then values ascending,
+    ties by column.
+
+    One partition finds each row's k-th value. Every strictly negative
+    entry at or below it is a candidate, so no entry tied with the k-th
+    value is lost, and a stable sort of the candidates, which arrive in
+    column order, by (row, value) puts the lowest columns first.
+    """
+    n = neg.shape[1]
+    # Capped at the negative float nearest zero: no zero similarity.
+    limit = np.minimum(np.partition(neg, k - 1, axis=1)[:, k - 1], np.nextafter(0.0, -1.0))
+    flat = np.flatnonzero(neg <= limit[:, None])
+    rows = flat // n
+    flat = flat[np.lexsort((neg.ravel()[flat], rows))]
+    keep = np.arange(flat.size) - np.searchsorted(rows, rows) < k
+    return np.divmod(flat[keep], n)
 
 
 def build_knn_view(features: FeatureMatrix, k: int,
@@ -70,11 +89,13 @@ def build_knn_view(features: FeatureMatrix, k: int,
     """Cosine similarity followed by per-row top-k selection.
 
     The similarity matrix is computed ``block_rows`` rows at a time, so
-    only a block of the dense V x V matrix is held at once; ``None``
-    takes all rows as one block. The result does not depend on the
-    block size. Rows with zero norm get similarity 0 against every node,
-    and a zero similarity never becomes an edge: rows with fewer than k
-    strictly positive similarities select all of them.
+    only a block of the dense V x V matrix is held at once. ``None``
+    sizes the blocks from a fixed 64 MB budget for the whole dense working
+    set of a block, so peak memory stays flat as the node count grows
+    (one row is held even past the budget). The result does not depend on
+    the block size. Rows with zero norm get similarity 0 against every
+    node, and a zero similarity never becomes an edge: rows with fewer
+    than k strictly positive similarities select all of them.
     """
     n = features.num_nodes
     if n < 2:
@@ -84,32 +105,39 @@ def build_knn_view(features: FeatureMatrix, k: int,
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     if block_rows is None:
-        block_rows = n
+        block_rows = max(1, _BLOCK_BYTES // (_BYTES_PER_ENTRY * n))
     elif block_rows < 1:
         raise ValueError("block_rows must be >= 1")
     mat = features.matrix
+    mat_t = mat.T.tocsr()
     norms = _row_norms(mat)
-    out = []
+    degree = np.zeros(n, dtype=np.int64)
+    picked = []
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
-        dots = (mat[start:stop] @ mat.T).toarray()
+        block = (mat[start:stop] @ mat_t).toarray()
         denom = np.outer(norms[start:stop], norms)
-        block = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        # A zero-norm row or column has all-zero dots, so the entries the
+        # division skips already hold similarity 0.
+        np.divide(block, denom, out=block, where=denom > 0)
+        del denom
         np.clip(block, 0.0, 1.0, out=block)
-        for offset in range(stop - start):
-            row = block[offset]
-            row[start + offset] = 0.0
-            out.append(_select_row(row, k))
-    return KnnView(num_nodes=n, k=k, out_edges=tuple(out))
+        local = np.arange(stop - start)
+        block[local, start + local] = 0.0
+        np.negative(block, out=block)
+        rows, cols = _select_block(block, k)
+        del block
+        degree[start:stop] = np.bincount(rows, minlength=stop - start)
+        picked.append(cols)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    return KnnView(num_nodes=n, k=k, indptr=indptr, indices=np.concatenate(picked))
 
 
 def save_knn_edge_list(view: KnnView, path) -> None:
     """Write the view as a directed edge list, neighbors in selection order."""
-    lines = []
-    for v, nbrs in enumerate(view.out_edges):
-        for u in nbrs:
-            lines.append(f"{v} {u}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    nodes = np.repeat(np.arange(view.num_nodes), np.diff(view.indptr))
+    text = "".join(map("{} {}\n".format, nodes.tolist(), view.indices.tolist()))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_directed_edge_list(path) -> sp.csr_matrix:

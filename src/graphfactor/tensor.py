@@ -158,7 +158,10 @@ def fit(x: Tensor3, model) -> float:
     """1 minus the relative Frobenius residual of the CP reconstruction.
 
     Uses the expanded residual-norm identity so the dense reconstruction
-    is never materialized; 1.0 means an exact fit.
+    is never materialized; 1.0 means an exact fit. The identity's terms
+    cancel as the residual shrinks: the fit's error is about
+    eps / (2 * (1 - fit)), so near an exact fit it is only accurate to
+    about sqrt(eps), a few times 1e-8.
     """
     i_dim, j_dim, l_dim = x.dims
     _check_factor("A", model.A, i_dim, None)
@@ -176,7 +179,9 @@ def fit_from_view_mttkrp(x: Tensor3, m_view, ab_gram, weighted_c) -> float:
     ``ab_gram`` is (A^T A) * (B^T B), and ``weighted_c`` is the view
     factor with the component scales multiplied in. Then <X, X_hat> =
     sum(m_view * weighted_c) and ||X_hat||^2 = sum(ab_gram * (weighted_c^T
-    weighted_c)) (Kolda & Bader, SIAM Review 2009, section 3.4).
+    weighted_c)) (Kolda & Bader, SIAM Review 2009, section 3.4). Like
+    ``fit``, the result is only accurate to about sqrt(eps) near an
+    exact fit, where ||X||^2 - 2 <X, X_hat> + ||X_hat||^2 cancels.
     """
     norm_x_sq = x.norm_sq()
     if norm_x_sq == 0.0:

@@ -44,6 +44,12 @@ class TestTrainOvr:
         clf = train_ovr(emb, labels, [0, 1, 2, 3])
         assert picked_sets(predict(clf, emb.rows, 1)) == [{0}, {0}, {1}, {1}]
 
+    def test_train_node_past_the_label_set_rejected(self):
+        emb = emb_of([[1.0], [2.0], [3.0]])
+        labels = labelset([{0}, {1}])
+        with pytest.raises(ValueError, match="outside the label set"):
+            train_ovr(emb, labels, [0, 2])
+
     def test_identical_embeddings_hit_entropy_bound(self):
         emb = emb_of([[0.5, 0.5]] * 10)
         labels = labelset([{0}] * 7 + [{1}] * 3)

@@ -1,8 +1,12 @@
 """Proximity-view construction: cosine similarity and top-k selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfactor import build_knn_view
 from graphfactor.dataio import FeatureMatrix
@@ -16,8 +20,16 @@ def feats(dense) -> FeatureMatrix:
     return FeatureMatrix(matrix=sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
 
 
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+def nbrs(view, v):
+    """Node v's neighbors in selection order."""
+    return view.indices[view.indptr[v]:view.indptr[v + 1]].tolist()
+
+
 def view_edges(view):
-    return [(u, v) for u, row in enumerate(view.out_edges) for v in row]
+    return [(u, v) for u in range(view.num_nodes) for v in nbrs(view, u)]
 
 
 class TestCosineSimilarity:
@@ -37,19 +49,19 @@ class TestCosineSimilarity:
         # node 1 has no features: no out-edges, and no node's neighbor
         dense = [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 2.0]]
         view = build_knn_view(feats(dense), k=3)
-        assert view.out_edges[1] == ()
-        assert all(1 not in nbrs for nbrs in view.out_edges)
-        assert view.out_edges[0] == (2,)
+        assert nbrs(view, 1) == []
+        assert 1 not in view.indices
+        assert nbrs(view, 0) == [2]
 
     def test_identical_rows_give_similarity_one(self):
         # node 1 is node 0 scaled, node 3 a copy of node 0: all three tie,
         # and every tie goes to the lowest id
         dense = [[2.0, 1.0], [4.0, 2.0], [0.0, 3.0], [2.0, 1.0]]
         view = build_knn_view(feats(dense), k=1)
-        assert view.out_edges[0] == (1,)
-        assert view.out_edges[1] == (0,)
-        assert view.out_edges[3] == (0,)
-        assert build_knn_view(feats(dense), k=2).out_edges[3] == (0, 1)
+        assert nbrs(view, 0) == [1]
+        assert nbrs(view, 1) == [0]
+        assert nbrs(view, 3) == [0]
+        assert nbrs(build_knn_view(feats(dense), k=2), 3) == [0, 1]
 
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
@@ -63,15 +75,15 @@ class TestTopKSelect:
         # nodes 1, 2, 3 all identical => similarity 1.0 ties from node 0's view
         dense = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
         view = build_knn_view(feats(dense), k=2)
-        assert view.out_edges[0] == (1, 2)
-        assert view.out_edges[3] == (0, 1)
+        assert nbrs(view, 0) == [1, 2]
+        assert nbrs(view, 3) == [0, 1]
 
     def test_zero_similarity_never_selected(self):
         # node 2 shares no features with 0 or 1
         dense = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         view = build_knn_view(feats(dense), k=2)
-        assert view.out_edges[0] == (1,)
-        assert view.out_edges[2] == ()
+        assert nbrs(view, 0) == [1]
+        assert nbrs(view, 2) == []
         assert view.deficient_nodes() == [0, 1, 2]
 
     def test_k_bounds(self):
@@ -89,8 +101,8 @@ class TestTopKSelect:
         rng = np.random.default_rng(2)
         dense = (rng.random((20, 6)) < 0.5).astype(float)
         view = build_knn_view(feats(dense), k=4)
-        assert all(len(row) <= 4 for row in view.out_edges)
-        assert view.directed_edge_count == sum(len(r) for r in view.out_edges)
+        assert np.diff(view.indptr).max() <= 4
+        assert view.directed_edge_count == view.indices.size
 
     def test_matches_bruteforce_oracle_binary_exact(self):
         for case in range(25):
@@ -108,7 +120,7 @@ class TestTopKSelect:
         scaled = dense * np.array([2.0 ** rng.integers(-3, 4) for _ in range(12)])[:, None]
         v1 = build_knn_view(feats(dense), k=3)
         v2 = build_knn_view(feats(scaled), k=3)
-        assert v1.out_edges == v2.out_edges
+        assert view_edges(v1) == view_edges(v2)
 
 
 class TestBlockedPath:
@@ -116,13 +128,82 @@ class TestBlockedPath:
         rng = np.random.default_rng(4)
         dense = rng.random((23, 6)) * (rng.random((23, 6)) < 0.5)
         f = feats(dense)
-        base = build_knn_view(f, k=5)
+        base = view_edges(build_knn_view(f, k=5))
         for block in (1, 4, 7, 23, 100):
-            assert build_knn_view(f, k=5, block_rows=block).out_edges == base.out_edges
+            assert view_edges(build_knn_view(f, k=5, block_rows=block)) == base
 
     def test_block_rows_validated(self):
         with pytest.raises(ValueError):
             build_knn_view(feats([[1.0], [1.0]]), k=1, block_rows=0)
+
+
+@st.composite
+def tie_heavy_features(draw):
+    """Small binary or count features whose rows are copies, power-of-two
+    multiples or zero rows of a few base rows, so that many rows hold more
+    than k similarities equal to their k-th one; with k.
+
+    Counts are 0, 1, 2 or 4, so parallel rows differ by a power of two and
+    share their cosines bit for bit. At a ratio like 3 the cosines of equal
+    directions round to 1 +- 1 ulp, and the builder's clip at 1 would tie
+    what the unclipped oracle orders.
+    """
+    num_features = draw(st.integers(1, 5))
+    values = st.sampled_from(draw(st.sampled_from([[0, 1], [0, 1, 2, 4]])))
+    base = st.lists(values, min_size=num_features, max_size=num_features)
+    bases = np.array(draw(st.lists(base, min_size=1, max_size=4)), dtype=np.float64)
+    n = draw(st.integers(2, 16))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    dense = bases[picks] * np.array(scales)[:, None]
+    return dense, draw(st.integers(1, n - 1))
+
+
+class TestTieHeavy:
+    @PROPERTY_SETTINGS
+    @given(case=tie_heavy_features())
+    def test_matches_oracle_at_every_block_size(self, case):
+        dense, k = case
+        n = dense.shape[0]
+        want = oracle_knn_edges(dense, k)
+        for block in (1, 2, n // 2, None):
+            assert view_edges(build_knn_view(feats(dense), k=k, block_rows=block)) == want
+
+
+class TestCsrView:
+    def test_to_csr_is_canonical_and_holds_the_edges(self):
+        # node 2 copies node 0; node 3 has no features; node 4 meets node 1 only
+        dense = [[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+        view = build_knn_view(feats(dense), k=2)
+        assert nbrs(view, 0) == [2, 1]  # selection order, not column order
+        mat = view.to_csr()
+        assert mat.has_canonical_format
+        rows, cols = mat.nonzero()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(view_edges(view))
+        assert np.all(mat.data == 1.0)
+        assert view.deficient_nodes() == [3, 4]
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_default_blocks_keep_the_peak_flat(self, n):
+        # Random sparse features, 500 columns at density 0.02; one block of
+        # all rows would need several dense n x n arrays (hundreds of MB).
+        rng = np.random.default_rng(n)
+        nnz = int(0.02 * n * 500)
+        mat = sp.coo_matrix(
+            (rng.random(nnz), (rng.integers(n, size=nnz), rng.integers(500, size=nnz))),
+            shape=(n, 500),
+        ).tocsr()
+        f = FeatureMatrix(matrix=mat)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_knn_view(f, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestEdgeListRoundTrip:
