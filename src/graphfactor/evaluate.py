@@ -5,6 +5,14 @@ fraction; a one-vs-rest L2-regularized logistic regression per label;
 Micro-F1 (globally pooled true/false positives and false negatives) and
 Macro-F1 (unweighted mean of per-label F1). Everything is a
 deterministic function of its inputs and the seed.
+
+``evaluate`` sets every loaded OpenBLAS to one thread while it runs and
+restores the previous counts when it returns, so its reports do not
+depend on the caller's BLAS thread count. The setting is process-global:
+BLAS calls made by other threads of the process during ``evaluate`` also
+run on one thread. Each L-BFGS-B objective call does two matrix-vector
+products on the training rows, too small to pay for waking a second
+thread.
 """
 
 from __future__ import annotations
@@ -16,13 +24,13 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
+from ._blas import single_blas_thread
 from .dataio import EmbeddingMatrix, LabelSet
 from .errors import NumericalError
 
 __all__ = [
     "OvrClassifier",
     "EvalReport",
-    "logistic_loss",
     "train_ovr",
     "predict",
     "micro_f1",
@@ -72,38 +80,29 @@ class EvalReport:
         }
 
 
-def logistic_loss(
-    weights: np.ndarray,
-    bias: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    l2_strength: float,
-) -> float:
-    """Regularized negative log-likelihood with +/-1 targets."""
-    z = x @ weights + bias
-    margins = y * z
-    data_term = np.logaddexp(0.0, -margins).sum()
-    return float(data_term + (weights @ weights) / (2.0 * l2_strength))
+def _logistic_objective(params: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        l2_strength: float):
+    """(loss, gradient) of the regularized negative log-likelihood with
+    +/-1 targets; params holds the weights, then the unpenalized bias."""
+    dim = x.shape[1]
+    w = params[:dim]
+    b = params[dim]
+    margins = y * (x @ w + b)
+    loss = np.logaddexp(0.0, -margins).sum() + (w @ w) / (2.0 * l2_strength)
+    slack = y * scipy.special.expit(-margins)
+    grad = np.empty(dim + 1)
+    grad[:dim] = -(x.T @ slack) + w / l2_strength
+    grad[dim] = -slack.sum()
+    return loss, grad
 
 
 def _fit_binary(x: np.ndarray, y: np.ndarray, l2_strength: float):
     """Minimize the convex logistic objective; bias is unpenalized."""
     dim = x.shape[1]
-
-    def objective(params):
-        w = params[:dim]
-        b = params[dim]
-        margins = y * (x @ w + b)
-        loss = np.logaddexp(0.0, -margins).sum() + (w @ w) / (2.0 * l2_strength)
-        slack = y * scipy.special.expit(-margins)
-        grad = np.empty(dim + 1)
-        grad[:dim] = -(x.T @ slack) + w / l2_strength
-        grad[dim] = -slack.sum()
-        return loss, grad
-
     result = scipy.optimize.minimize(
-        objective,
+        _logistic_objective,
         np.zeros(dim + 1),
+        args=(x, y, l2_strength),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": 1000, "gtol": 1e-6, "ftol": 1e-15},
@@ -297,14 +296,15 @@ def evaluate(
     members = _indicator(labels.assignments, range(labels.num_labels))
     scores = []
     degenerate_counts = []
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, rep])
-        train_idx, test_idx = stratified_split(labels, train_fraction, rng)
-        clf = train_ovr(emb, labels, train_idx, l2_strength)
-        truth = members[test_idx]
-        predicted = predict(clf, emb.rows[test_idx], truth.sum(axis=1))
-        scores.append(_f1_scores(predicted, truth))
-        degenerate_counts.append(len(clf.degenerate_labels))
+    with single_blas_thread():
+        for rep in range(repeats):
+            rng = np.random.default_rng([seed, rep])
+            train_idx, test_idx = stratified_split(labels, train_fraction, rng)
+            clf = train_ovr(emb, labels, train_idx, l2_strength)
+            truth = members[test_idx]
+            predicted = predict(clf, emb.rows[test_idx], truth.sum(axis=1))
+            scores.append(_f1_scores(predicted, truth))
+            degenerate_counts.append(len(clf.degenerate_labels))
     micro_scores, macro_scores = zip(*scores)
     return EvalReport(
         train_fraction=train_fraction,

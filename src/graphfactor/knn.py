@@ -2,7 +2,11 @@
 
 For every node, the K most cosine-similar other nodes (strictly positive
 similarity only) become directed out-edges. Ties are broken toward the
-lowest node index so results are reproducible.
+lowest node index so results are reproducible. A tie means equal
+*computed* similarities, clipped to [0, 1], so parallel rows can rank by
+rounding rather than by index: for rows [1, 1], [1, 1], [3, 3], [1, 0]
+at K=1, node 0 picks node 2 (similarity computed as 1.0) over its exact
+copy node 1 (0.9999999999999998).
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ __all__ = [
 # Peak working set of one row block, in bytes per similarity entry (one
 # row-column pair). The dense steps hold 16-20: the sparse dot product
 # (8-byte value, 4-byte index) next to its dense copy, then the block next
-# to its denominators or its partition copy. The candidate arrays of
-# _select_block reach ~41 when every similarity of a row ties.
+# to its denominators or its partition copy. _select_block adds a 1-byte
+# mask and 8 per entry tied with a row's k-th value: with every similarity
+# tied (all-identical rows) tracemalloc measures ~21 in all.
 _BYTES_PER_ENTRY = 48
 # Byte budget that sizes the row blocks when ``block_rows`` is None.
 _BLOCK_BYTES = 64 * 2**20
@@ -69,19 +74,25 @@ def _select_block(neg: np.ndarray, k: int):
     ``neg`` (negated similarities): rows ascending, then values ascending,
     ties by column.
 
-    One partition finds each row's k-th value. Every strictly negative
-    entry at or below it is a candidate, so no entry tied with the k-th
-    value is lost, and a stable sort of the candidates, which arrive in
-    column order, by (row, value) puts the lowest columns first.
+    One partition finds each row's k-th value. At most k-1 entries of a
+    row are strictly below it; the entries equal to it, which arrive in
+    column order, fill the places left, so no tie is lost and none is
+    sorted. A stable sort of the at most k kept entries per row by (row,
+    value) then puts the lowest columns first among equal values.
     """
     n = neg.shape[1]
     # Capped at the negative float nearest zero: no zero similarity.
     limit = np.minimum(np.partition(neg, k - 1, axis=1)[:, k - 1], np.nextafter(0.0, -1.0))
-    flat = np.flatnonzero(neg <= limit[:, None])
-    rows = flat // n
-    flat = flat[np.lexsort((neg.ravel()[flat], rows))]
-    keep = np.arange(flat.size) - np.searchsorted(rows, rows) < k
-    return np.divmod(flat[keep], n)
+    below = np.flatnonzero(neg < limit[:, None])
+    tied = np.flatnonzero(neg == limit[:, None])
+    bounds = np.arange(neg.shape[0] + 1) * n
+    starts = np.searchsorted(tied, bounds)
+    take = np.minimum(np.diff(starts), k - np.diff(np.searchsorted(below, bounds)))
+    # Each row's first ``take`` ties, as positions in the row-major list of ties.
+    skip = np.repeat(starts[:-1] - (np.cumsum(take) - take), take)
+    flat = np.concatenate([below, tied[np.arange(skip.size) + skip]])
+    flat = flat[np.lexsort((neg.ravel()[flat], flat // n))]
+    return np.divmod(flat, n)
 
 
 def build_knn_view(features: FeatureMatrix, k: int,
@@ -95,7 +106,10 @@ def build_knn_view(features: FeatureMatrix, k: int,
     (one row is held even past the budget). The result does not depend on
     the block size. Rows with zero norm get similarity 0 against every
     node, and a zero similarity never becomes an edge: rows with fewer
-    than k strictly positive similarities select all of them.
+    than k strictly positive similarities select all of them. Ties go to
+    the lowest node index among equal computed similarities (clipped to
+    [0, 1]), so parallel rows can rank by rounding; see the module
+    docstring.
     """
     n = features.num_nodes
     if n < 2:

@@ -27,6 +27,7 @@ from graphfactor._blas import openblas_thread_controls
 from graphfactor.errors import DataError, NumericalError, ParseError
 
 from oracles import oracle_als, oracle_als_sweep
+from synthdata import WEBKB_SHAPED, planted_dataset, write_dataset
 
 
 def random_tensor(rng, dims, density=0.6):
@@ -294,28 +295,28 @@ class TestBlasThreads:
             decompose(x, AlsConfig(rank=2))
         assert [get() for get, _ in controls] == before
 
-    def test_factor_bytes_do_not_depend_on_caller_threads(self):
+    def test_run_artifacts_do_not_depend_on_caller_threads(self, tmp_path):
         # OpenBLAS reads its thread count from the environment when it
         # loads, so each setting needs its own process; without a setting
-        # it uses one thread per CPU
+        # it uses one thread per CPU. The pruned run covers every artifact:
+        # K-NN edges, model, embeddings, evaluations, weights and report.
         root = Path(__file__).resolve().parents[1]
+        data = write_dataset(planted_dataset(WEBKB_SHAPED), tmp_path / "data")
         script = textwrap.dedent("""
-            import hashlib
-            from graphfactor import (
-                AlsConfig, FeatureMatrix, Graph, build_knn_view, decompose, stack_views,
-            )
-            from synthdata import WEBKB_SHAPED, planted_dataset
+            import json, sys
+            from pathlib import Path
+            from graphfactor import PipelineConfig, run_pipeline
+            from graphfactor.dataio import sha256_file
 
-            ds = planted_dataset(WEBKB_SHAPED)
-            graph = Graph(num_nodes=WEBKB_SHAPED.num_nodes, edges=frozenset(ds.edges))
-            x = stack_views(graph, build_knn_view(FeatureMatrix(ds.features_csr()), 40))
-            m = decompose(x, AlsConfig(rank=128, max_iters=3, tol=1e-12, seed=0))
-            digest = hashlib.sha256()
-            for arr in (m.A, m.B, m.C, m.column_scales):
-                digest.update(arr.tobytes())
-            print(digest.hexdigest())
+            edges, features, labels, out = sys.argv[1:]
+            run_dir = run_pipeline(PipelineConfig(
+                edges=edges, features=features, labels=labels, k=40, rank=128,
+                max_iters=3, tol=1e-12, repeats=2, prune_threshold=13.0,
+            ), Path(out))
+            print(json.dumps({str(p.relative_to(run_dir)): sha256_file(p)
+                              for p in sorted(run_dir.rglob("*")) if p.is_file()}))
         """)
-        digests = []
+        runs = []
         for threads in ("1", None):
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
@@ -323,13 +324,19 @@ class TestBlasThreads:
                 env.pop(var, None)
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"run_{threads}"
             done = subprocess.run(
-                [sys.executable, "-c", script],
+                [sys.executable, "-c", script,
+                 str(data["edges"]), str(data["features"]), str(data["labels"]), str(out)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert done.returncode == 0, done.stderr
-            digests.append(done.stdout.strip())
-        assert digests[0] == digests[1]
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert {"eval_train_0p5.json", "weights.csv", "pruning_report.json", "embeddings.txt",
+                "embeddings_pruned.txt", "model/A.txt", "model/C.txt"} <= set(runs[0])
+        report = json.loads((tmp_path / "run_1" / "pruning_report.json").read_text())
+        assert report["removed_dimensions"]
 
 
 class TestModelIO:

@@ -1,5 +1,7 @@
 """Classifier training, prediction protocols, F1 metrics, split protocol."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,13 @@ from graphfactor import (
     predict,
     train_ovr,
 )
-from graphfactor.evaluate import OvrClassifier, logistic_loss, stratified_split
+from graphfactor._blas import openblas_thread_controls
+from graphfactor.evaluate import OvrClassifier, _logistic_objective, stratified_split
 
 from oracles import oracle_logistic_newton, oracle_macro_f1, oracle_micro_f1, oracle_top_k
+
+# the package re-exports the function evaluate under the module's name
+evaluate_module = importlib.import_module("graphfactor.evaluate")
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -57,7 +63,7 @@ class TestTrainOvr:
         p = 0.7
         bound = 10 * (-p * np.log(p) - (1 - p) * np.log(1 - p))
         y = np.array([1.0] * 7 + [-1.0] * 3)
-        loss = logistic_loss(clf.weights[0], clf.biases[0], emb.rows, y, 1.0)
+        loss = _logistic_objective(np.append(clf.weights[0], clf.biases[0]), emb.rows, y, 1.0)[0]
         assert loss == pytest.approx(bound, abs=1e-6)
 
     def test_matches_newton_oracle(self):
@@ -79,8 +85,9 @@ class TestTrainOvr:
         clf = train_ovr(emb, labels, list(range(25)))
         for label in range(3):
             y = np.array([1.0 if label in labels.labels_of(i) else -1.0 for i in range(25)])
-            fitted = logistic_loss(clf.weights[label], clf.biases[label], x, y, 1.0)
-            at_zero = logistic_loss(np.zeros(4), 0.0, x, y, 1.0)
+            fitted_params = np.append(clf.weights[label], clf.biases[label])
+            fitted = _logistic_objective(fitted_params, x, y, 1.0)[0]
+            at_zero = _logistic_objective(np.zeros(5), x, y, 1.0)[0]
             assert fitted <= at_zero + 1e-9
 
     def test_zero_positive_label_flagged_not_error(self):
@@ -364,3 +371,35 @@ class TestEvaluate:
         labels = labelset([{0}, {0}, {1}])
         with pytest.raises(ValueError):
             evaluate(emb, labels, 0.5, repeats=1)
+
+    def test_runs_on_one_blas_thread_and_restores(self, monkeypatch):
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded to pin")
+        original = [get() for get, _ in controls]
+        emb, labels = self.one_hot_setup()
+        seen = []
+        real_train = evaluate_module.train_ovr
+
+        def train(*args):
+            seen.append([get() for get, _ in controls])
+            return real_train(*args)
+
+        def explode(*args):
+            raise RuntimeError("boom")
+
+        try:
+            for _, set_ in controls:
+                set_(2)
+            before = [get() for get, _ in controls]
+            monkeypatch.setattr(evaluate_module, "train_ovr", train)
+            evaluate(emb, labels, 0.5, repeats=3, seed=0)
+            assert seen == [[1] * len(controls)] * 3
+            assert [get() for get, _ in controls] == before
+            monkeypatch.setattr(evaluate_module, "train_ovr", explode)
+            with pytest.raises(RuntimeError, match="boom"):
+                evaluate(emb, labels, 0.5, repeats=3, seed=0)
+            assert [get() for get, _ in controls] == before
+        finally:
+            for (_, set_), count in zip(controls, original):
+                set_(count)
