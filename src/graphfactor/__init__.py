@@ -30,6 +30,7 @@ from .dataio import (
 from .embedding import extract_embeddings, prune_dimensions
 from .errors import DataError, NumericalError, ParseError, PipelineError
 from .evaluate import (
+    EvalConfig,
     EvalReport,
     OvrClassifier,
     evaluate,
@@ -55,6 +56,7 @@ __all__ = [
     "AlsConfig",
     "DataError",
     "EmbeddingMatrix",
+    "EvalConfig",
     "EvalReport",
     "FactorModel",
     "FeatureMatrix",

@@ -24,11 +24,11 @@ from .dataio import (
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
 from .errors import DataError, NumericalError, PipelineError
-from .evaluate import evaluate
+from .evaluate import EvalConfig, evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
 from .knn import build_knn_view, load_directed_edge_list, save_knn_edge_list
 from .pipeline import PipelineConfig, run_pipeline, sweep
-from .tensor import assemble_tensor, reconstruct_view
+from .tensor import reconstruct_view, stack_views
 
 __all__ = ["main"]
 
@@ -67,7 +67,7 @@ def _cmd_build_knn(args) -> int:
 def _cmd_decompose(args) -> int:
     graph = load_edge_list(args.adj)
     z = None if args.knn is None else load_directed_edge_list(args.knn)
-    tensor = assemble_tensor(graph, z)
+    tensor = stack_views(graph, z)
     config = AlsConfig(
         rank=args.rank,
         max_iters=args.max_iters,
@@ -97,17 +97,15 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _eval_config(args) -> EvalConfig:
+    return EvalConfig(args.train_fraction, repeats=args.repeats, seed=args.seed,
+                      l2_strength=args.l2)
+
+
 def _cmd_evaluate(args) -> int:
     emb = load_embeddings(args.embeddings)
     labels = load_labels(args.labels, num_nodes=emb.num_nodes)
-    report = evaluate(
-        emb,
-        labels,
-        train_fraction=args.train_fraction,
-        repeats=args.repeats,
-        seed=args.seed,
-        l2_strength=args.l2,
-    )
+    report = evaluate(emb, labels, _eval_config(args))
     save_json(report.to_dict(), args.out)
     print(
         f"wrote {args.out}: micro-F1 {report.micro_f1_mean:.4f} "
@@ -138,18 +136,7 @@ def _cmd_interpret(args) -> int:
         return _usage_error(f"--prune-eval requires {', '.join(missing)}")
     emb = load_embeddings(args.embeddings)
     labels = load_labels(args.labels, num_nodes=emb.num_nodes)
-    report = pruning_report(
-        model,
-        emb,
-        labels,
-        args.threshold,
-        eval_config={
-            "train_fraction": args.train_fraction,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "l2_strength": args.l2,
-        },
-    )
+    report = pruning_report(model, emb, labels, args.threshold, _eval_config(args))
     save_json(report, args.report_out)
     print(
         f"wrote {args.report_out}: removed {len(report['removed_dimensions'])} "
@@ -216,11 +203,11 @@ def _add_dataset_args(parser, labels_required: bool) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--max-iters", type=int, default=100)
-    parser.add_argument(
-        "--train-fractions", type=float, nargs="+", default=[0.5], metavar="F"
-    )
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--l2", type=float, default=1.0, help="inverse L2 strength")
+    parser.add_argument("--train-fractions", type=float, nargs="+",
+                        default=[EvalConfig.train_fraction], metavar="F")
+    parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
+    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength,
+                        help="inverse L2 strength")
     parser.add_argument("--prune-threshold", type=float, default=None)
     parser.add_argument("--source", choices=EMBEDDING_SOURCES, default="A")
     parser.add_argument("--init", choices=("uniform", "normal"), default="uniform")
@@ -229,6 +216,13 @@ def _add_dataset_args(parser, labels_required: bool) -> None:
         action="store_true",
         help="drop the feature-similarity view (adjacency-only ablation)",
     )
+
+
+def _add_eval_args(parser) -> None:
+    parser.add_argument("--train-fraction", type=float, default=EvalConfig.train_fraction)
+    parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
+    parser.add_argument("--seed", type=int, default=EvalConfig.seed)
+    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength)
 
 
 def build_parser() -> _Parser:
@@ -270,10 +264,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="classification quality of embeddings")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--l2", type=float, default=1.0)
+    _add_eval_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_evaluate)
 
@@ -284,10 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prune-eval", action="store_true")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--train-fraction", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--l2", type=float, default=1.0)
+    _add_eval_args(p)
     p.add_argument("--report-out", default=None)
     p.set_defaults(handler=_cmd_interpret)
 

@@ -29,6 +29,7 @@ from .dataio import EmbeddingMatrix, LabelSet
 from .errors import NumericalError
 
 __all__ = [
+    "EvalConfig",
     "OvrClassifier",
     "EvalReport",
     "train_ovr",
@@ -38,6 +39,24 @@ __all__ = [
     "evaluate",
     "stratified_split",
 ]
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The evaluation protocol; l2_strength is the inverse L2 penalty."""
+
+    train_fraction: float = 0.5
+    repeats: int = 10
+    seed: int = 0
+    l2_strength: float = 1.0
+
+    def validate(self) -> None:
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not self.l2_strength > 0:
+            raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +75,7 @@ class OvrClassifier:
 
 @dataclass
 class EvalReport:
-    train_fraction: float
-    repeats: int
+    config: EvalConfig
     micro_f1_mean: float
     micro_f1_std: float
     macro_f1_mean: float
@@ -68,8 +86,8 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "train_fraction": float(self.train_fraction),
-            "repeats": int(self.repeats),
+            "train_fraction": float(self.config.train_fraction),
+            "repeats": int(self.config.repeats),
             "micro_f1_mean": float(self.micro_f1_mean),
             "micro_f1_std": float(self.micro_f1_std),
             "macro_f1_mean": float(self.macro_f1_mean),
@@ -273,18 +291,10 @@ def stratified_split(
 
 
 def evaluate(
-    emb: EmbeddingMatrix,
-    labels: LabelSet,
-    train_fraction: float,
-    repeats: int = 10,
-    seed: int = 0,
-    l2_strength: float = 1.0,
+    emb: EmbeddingMatrix, labels: LabelSet, config: EvalConfig = EvalConfig()
 ) -> EvalReport:
     """Repeated stratified split evaluation; deterministic in the seed."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    config.validate()
     labeled = labels.labeled_nodes()
     if len(labeled) < 2:
         raise ValueError("need at least 2 labeled nodes to evaluate")
@@ -297,18 +307,17 @@ def evaluate(
     scores = []
     degenerate_counts = []
     with single_blas_thread():
-        for rep in range(repeats):
-            rng = np.random.default_rng([seed, rep])
-            train_idx, test_idx = stratified_split(labels, train_fraction, rng)
-            clf = train_ovr(emb, labels, train_idx, l2_strength)
+        for rep in range(config.repeats):
+            rng = np.random.default_rng([config.seed, rep])
+            train_idx, test_idx = stratified_split(labels, config.train_fraction, rng)
+            clf = train_ovr(emb, labels, train_idx, config.l2_strength)
             truth = members[test_idx]
             predicted = predict(clf, emb.rows[test_idx], truth.sum(axis=1))
             scores.append(_f1_scores(predicted, truth))
             degenerate_counts.append(len(clf.degenerate_labels))
     micro_scores, macro_scores = zip(*scores)
     return EvalReport(
-        train_fraction=train_fraction,
-        repeats=repeats,
+        config=config,
         micro_f1_mean=float(np.mean(micro_scores)),
         micro_f1_std=float(np.std(micro_scores)),
         macro_f1_mean=float(np.mean(macro_scores)),

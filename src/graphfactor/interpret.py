@@ -18,7 +18,7 @@ import numpy as np
 from .cpals import FactorModel
 from .dataio import EmbeddingMatrix, LabelSet
 from .embedding import prune_dimensions, view_dimension_weights
-from .evaluate import EvalReport, evaluate
+from .evaluate import EvalConfig, EvalReport, evaluate
 
 __all__ = [
     "ViewWeightTable",
@@ -27,14 +27,6 @@ __all__ = [
     "pruning_report",
     "dimension_correlation",
 ]
-
-DEFAULT_EVAL_CONFIG = {
-    "train_fraction": 0.5,
-    "repeats": 10,
-    "seed": 0,
-    "l2_strength": 1.0,
-}
-
 
 @dataclass(frozen=True)
 class ViewWeightTable:
@@ -108,55 +100,30 @@ def pruning_report(
     emb: EmbeddingMatrix,
     labels: LabelSet,
     threshold: float,
-    eval_config: dict | None = None,
+    eval_config: EvalConfig = EvalConfig(),
     *,
     before: EvalReport | None = None,
 ) -> dict:
     """Classification quality before vs. after pruning, same seeds.
 
-    ``emb`` must be the unpruned source-A embedding of ``model``.
-    ``before``, when given, is that embedding's evaluation under
-    ``eval_config``, already computed by the caller; it is used in place
-    of evaluating again. The report embeds the removed dimensions, both
-    evaluation summaries, the Micro-F1 delta, and per-removed-dimension
-    correlations when computable.
+    ``emb`` must be the unpruned source-A embedding of ``model``; both
+    embeddings are evaluated under ``eval_config``. ``before``, when
+    given, is that embedding's evaluation under ``eval_config``, already
+    computed by the caller; it is used in place of evaluating again, and
+    a report made under any other config is rejected. The report embeds
+    the removed dimensions, both evaluation summaries, the Micro-F1
+    delta, and per-removed-dimension correlations when computable.
     """
-    config = dict(DEFAULT_EVAL_CONFIG)
-    if eval_config:
-        unknown = set(eval_config) - set(DEFAULT_EVAL_CONFIG)
-        if unknown:
-            raise ValueError(f"unknown eval_config keys: {sorted(unknown)}")
-        config.update(eval_config)
-
     if before is None:
-        before = evaluate(
-            emb,
-            labels,
-            train_fraction=config["train_fraction"],
-            repeats=config["repeats"],
-            seed=config["seed"],
-            l2_strength=config["l2_strength"],
-        )
-    elif (before.train_fraction, before.repeats) != (
-        config["train_fraction"], config["repeats"]
-    ):
+        before = evaluate(emb, labels, eval_config)
+    elif before.config != eval_config:
+        made = before.config
         raise ValueError(
-            f"before report (train fraction {before.train_fraction}, "
-            f"{before.repeats} repeats) does not match eval_config "
-            f"({config['train_fraction']}, {config['repeats']} repeats)"
+            f"before report (train fraction {made.train_fraction}, {made.repeats} repeats, "
+            f"seed {made.seed}, l2 strength {made.l2_strength}) does not match {eval_config}"
         )
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
-    if removed:
-        after = evaluate(
-            pruned_emb,
-            labels,
-            train_fraction=config["train_fraction"],
-            repeats=config["repeats"],
-            seed=config["seed"],
-            l2_strength=config["l2_strength"],
-        )
-    else:
-        after = before
+    after = evaluate(pruned_emb, labels, eval_config) if removed else before
 
     correlations = []
     survivors = emb.dim - len(removed)
@@ -177,10 +144,10 @@ def pruning_report(
         "macro_f1_after": float(after.macro_f1_mean),
         "removed_dimension_correlations": correlations,
         "eval_config": {
-            "train_fraction": float(config["train_fraction"]),
-            "repeats": int(config["repeats"]),
-            "seed": int(config["seed"]),
-            "l2_strength": float(config["l2_strength"]),
+            "train_fraction": float(eval_config.train_fraction),
+            "repeats": int(eval_config.repeats),
+            "seed": int(eval_config.seed),
+            "l2_strength": float(eval_config.l2_strength),
         },
         "evaluation_before": before.to_dict(),
         "evaluation_after": after.to_dict(),

@@ -30,10 +30,10 @@ from .dataio import (
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
 from .errors import DataError, PipelineError
-from .evaluate import evaluate
+from .evaluate import EvalConfig, evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
 from .knn import build_knn_view, save_knn_edge_list
-from .tensor import assemble_tensor
+from .tensor import stack_views
 
 __all__ = ["PipelineConfig", "run_pipeline", "sweep", "default_run_root"]
 
@@ -70,9 +70,9 @@ class PipelineConfig:
     seed: int = 0
     tol: float = 1e-6
     max_iters: int = 100
-    train_fractions: tuple = (0.5,)
-    repeats: int = 10
-    l2_strength: float = 1.0
+    train_fractions: tuple = (EvalConfig.train_fraction,)
+    repeats: int = EvalConfig.repeats
+    l2_strength: float = EvalConfig.l2_strength
     prune_threshold: float | None = None
     embedding_source: str = "A"
     init: str = "uniform"
@@ -87,19 +87,18 @@ class PipelineConfig:
             init=self.init,
         )
 
+    def eval_config(self, train_fraction: float) -> EvalConfig:
+        return EvalConfig(train_fraction, repeats=self.repeats, seed=self.seed,
+                          l2_strength=self.l2_strength)
+
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         self.als_config().validate()
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if not self.l2_strength > 0:
-            raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
         if not self.train_fractions:
             raise ValueError("train_fractions must be nonempty")
         for frac in self.train_fractions:
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"train fraction {frac} not in (0, 1)")
+            self.eval_config(frac).validate()
         if len(set(self.train_fractions)) != len(self.train_fractions):
             raise ValueError("train_fractions contains duplicates")
         if self.prune_threshold is not None and self.prune_threshold < 0:
@@ -212,7 +211,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             "sha256": sha256_file(config.edges),
         }
         graph = load_edge_list(config.edges)
-        tensor = assemble_tensor(graph, state.get("knn"))
+        tensor = stack_views(graph, state.get("knn"))
         state["tensor"] = tensor
         num_nodes, _, l_dim = tensor.dims
         state["num_nodes"] = num_nodes
@@ -265,14 +264,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         reports = []
         outputs = []
         for fraction in config.train_fractions:
-            report = evaluate(
-                state["emb"],
-                labels,
-                train_fraction=fraction,
-                repeats=config.repeats,
-                seed=config.seed,
-                l2_strength=config.l2_strength,
-            )
+            report = evaluate(state["emb"], labels, config.eval_config(fraction))
             name = f"eval_train_{_fraction_tag(fraction)}.json"
             save_json(report.to_dict(), run_dir / name)
             reports.append(report)
@@ -299,12 +291,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
                 emb_a,
                 state["labels"],
                 config.prune_threshold,
-                eval_config={
-                    "train_fraction": config.train_fractions[0],
-                    "repeats": config.repeats,
-                    "seed": config.seed,
-                    "l2_strength": config.l2_strength,
-                },
+                config.eval_config(config.train_fractions[0]),
                 before=before,
             )
             save_json(report, run_dir / "pruning_report.json")

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .dataio import Graph
 from .knn import KnnView
 
-__all__ = ["Tensor3", "stack_views", "assemble_tensor", "mttkrp", "reconstruct_view", "fit"]
+__all__ = ["Tensor3", "stack_views", "mttkrp", "reconstruct_view", "fit"]
 
 
 @dataclass(frozen=True)
@@ -65,41 +65,27 @@ class Tensor3:
         return cls.from_slices([sp.csr_matrix(dense[:, :, l]) for l in range(dense.shape[2])])
 
 
-def stack_views(adj: Graph, knn) -> Tensor3:
+def stack_views(graph: Graph, knn) -> Tensor3:
     """Stack the adjacency view and (optionally) the K-NN view.
 
     View 0 is the symmetric adjacency matrix; view 1 the directed K-NN
-    matrix, given either as a KnnView or as an already-built sparse
-    matrix. Passing ``knn=None`` builds the single-view tensor used for
-    adjacency-only ablations.
+    matrix, given either as a KnnView or as an already-built square
+    sparse matrix. Passing ``knn=None`` builds the single-view tensor
+    used for adjacency-only ablations. A node that only one view names
+    (features past the edge list's largest id, or the reverse) is added
+    to the other view as an isolated node, so both views span the larger
+    node count.
     """
-    slices = [adj.to_csr()]
-    if knn is not None:
-        z = knn.to_csr() if isinstance(knn, KnnView) else sp.csr_matrix(knn)
-        if z.shape[0] != adj.num_nodes or z.shape[1] != adj.num_nodes:
-            raise ValueError(
-                f"view sizes differ: adjacency has {adj.num_nodes} nodes, "
-                f"K-NN view is {z.shape[0]}x{z.shape[1]}"
-            )
-        slices.append(z)
-    return Tensor3.from_slices(slices)
-
-
-def assemble_tensor(graph: Graph, z) -> Tensor3:
-    """Stack the adjacency and an optional K-NN view of any node count.
-
-    ``z`` is a KnnView, a sparse matrix or None. A node that only one
-    view names (features past the edge list's largest id, or the
-    reverse) is added to the other view as an isolated node, so both
-    views span the larger node count.
-    """
-    if z is None:
-        return stack_views(graph, None)
-    z = z.to_csr() if isinstance(z, KnnView) else sp.csr_matrix(z)
+    if knn is None:
+        return Tensor3.from_slices([graph.to_csr()])
+    z = knn.to_csr() if isinstance(knn, KnnView) else sp.csr_matrix(knn)
+    if z.shape[0] != z.shape[1]:
+        raise ValueError(f"K-NN view must be square, got {z.shape[0]}x{z.shape[1]}")
     num_nodes = max(graph.num_nodes, z.shape[0])
     if z.shape[0] != num_nodes:
         z.resize((num_nodes, num_nodes))
-    return stack_views(dataclasses.replace(graph, num_nodes=num_nodes), z)
+    adj = dataclasses.replace(graph, num_nodes=num_nodes).to_csr()
+    return Tensor3.from_slices([adj, z])
 
 
 def _check_factor(name: str, arr: np.ndarray, rows: int, rank: int | None):

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from graphfactor import (
     AlsConfig,
+    EvalConfig,
     FeatureMatrix,
     Graph,
     LabelSet,
@@ -228,11 +229,11 @@ def test_criterion_6_end_to_end_classification(capsys, webkb_assets):
     knn = build_knn_view(features, 40)
     two_view = decompose(stack_views(graph, knn), als)
     two_report = evaluate(extract_embeddings(two_view, "A"), labels,
-                          train_fraction=0.5, repeats=10, seed=0)
+                          EvalConfig(train_fraction=0.5, repeats=10, seed=0))
 
     one_view = decompose(stack_views(graph, None), als)
     one_report = evaluate(extract_embeddings(one_view, "A"), labels,
-                          train_fraction=0.5, repeats=10, seed=0)
+                          EvalConfig(train_fraction=0.5, repeats=10, seed=0))
 
     two_micro = 100.0 * two_report.micro_f1_mean
     one_micro = 100.0 * one_report.micro_f1_mean

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphfactor import (
     EmbeddingMatrix,
+    EvalConfig,
     LabelSet,
     evaluate,
     macro_f1,
@@ -319,8 +320,8 @@ class TestEvaluate:
 
     def test_same_seed_identical_reports(self):
         emb, labels = self.one_hot_setup()
-        r1 = evaluate(emb, labels, 0.5, repeats=10, seed=3)
-        r2 = evaluate(emb, labels, 0.5, repeats=10, seed=3)
+        r1 = evaluate(emb, labels, EvalConfig(0.5, repeats=10, seed=3))
+        r2 = evaluate(emb, labels, EvalConfig(0.5, repeats=10, seed=3))
         assert r1.to_dict() == r2.to_dict()
         # different seeds must draw different splits (scores here are all 1.0
         # because the toy is perfectly separable, so compare the splits)
@@ -330,7 +331,7 @@ class TestEvaluate:
 
     def test_perfectly_embeddable_toy_scores_one(self):
         emb, labels = self.one_hot_setup()
-        report = evaluate(emb, labels, 0.9, repeats=3, seed=0)
+        report = evaluate(emb, labels, EvalConfig(0.9, repeats=3, seed=0))
         assert report.micro_f1_mean == pytest.approx(1.0)
         assert report.macro_f1_mean == pytest.approx(1.0)
 
@@ -338,8 +339,8 @@ class TestEvaluate:
         rng = np.random.default_rng(6)
         emb = emb_of(rng.standard_normal((40, 4)))
         labels = labelset([{int(v)} for v in rng.integers(0, 3, 40)])
-        report = evaluate(emb, labels, 0.5, repeats=7, seed=1)
-        assert report.repeats == 7
+        report = evaluate(emb, labels, EvalConfig(0.5, repeats=7, seed=1))
+        assert report.config.repeats == 7
         assert len(report.per_repeat_micro) == 7
         assert len(report.per_repeat_macro) == 7
         assert all(0.0 <= v <= 1.0 for v in report.per_repeat_micro)
@@ -351,26 +352,26 @@ class TestEvaluate:
         # two-label nodes must receive exactly two predicted labels
         rows = np.vstack([np.eye(2)] * 6 + [[1.0, 1.0]] * 6)
         labels = labelset([{0}, {1}] * 6 + [{0, 1}] * 6)
-        report = evaluate(emb_of(rows), labels, 0.5, repeats=2, seed=0)
+        report = evaluate(emb_of(rows), labels, EvalConfig(0.5, repeats=2, seed=0))
         assert report.micro_f1_mean > 0.8
 
     def test_parameter_validation(self):
         emb, labels = self.one_hot_setup(per_class=2)
         with pytest.raises(ValueError):
-            evaluate(emb, labels, 0.0, repeats=1)
+            evaluate(emb, labels, EvalConfig(0.0, repeats=1))
         with pytest.raises(ValueError):
-            evaluate(emb, labels, 1.0, repeats=1)
+            evaluate(emb, labels, EvalConfig(1.0, repeats=1))
         with pytest.raises(ValueError):
-            evaluate(emb, labels, 0.5, repeats=0)
+            evaluate(emb, labels, EvalConfig(0.5, repeats=0))
         short = labelset([{0}], num_labels=1)
         with pytest.raises(ValueError):
-            evaluate(emb, short, 0.5, repeats=1)
+            evaluate(emb, short, EvalConfig(0.5, repeats=1))
 
     def test_labels_beyond_embedding_rejected(self):
         emb = emb_of(np.eye(2))
         labels = labelset([{0}, {0}, {1}])
         with pytest.raises(ValueError):
-            evaluate(emb, labels, 0.5, repeats=1)
+            evaluate(emb, labels, EvalConfig(0.5, repeats=1))
 
     def test_runs_on_one_blas_thread_and_restores(self, monkeypatch):
         controls = openblas_thread_controls()
@@ -393,12 +394,12 @@ class TestEvaluate:
                 set_(2)
             before = [get() for get, _ in controls]
             monkeypatch.setattr(evaluate_module, "train_ovr", train)
-            evaluate(emb, labels, 0.5, repeats=3, seed=0)
+            evaluate(emb, labels, EvalConfig(0.5, repeats=3, seed=0))
             assert seen == [[1] * len(controls)] * 3
             assert [get() for get, _ in controls] == before
             monkeypatch.setattr(evaluate_module, "train_ovr", explode)
             with pytest.raises(RuntimeError, match="boom"):
-                evaluate(emb, labels, 0.5, repeats=3, seed=0)
+                evaluate(emb, labels, EvalConfig(0.5, repeats=3, seed=0))
             assert [get() for get, _ in controls] == before
         finally:
             for (_, set_), count in zip(controls, original):

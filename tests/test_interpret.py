@@ -8,6 +8,7 @@ import pytest
 from graphfactor import (
     AlsConfig,
     EmbeddingMatrix,
+    EvalConfig,
     FactorModel,
     LabelSet,
     Tensor3,
@@ -159,7 +160,7 @@ class TestPruningReport:
     def test_before_matches_standalone_evaluate(self):
         model, emb, labels = self.fitted_setup()
         report = pruning_report(model, emb, labels, threshold=0.5)
-        standalone = evaluate(emb, labels, train_fraction=0.5, repeats=10, seed=0)
+        standalone = evaluate(emb, labels, EvalConfig(train_fraction=0.5, repeats=10, seed=0))
         assert report["evaluation_before"] == standalone.to_dict()
         assert report["micro_f1_before"] == pytest.approx(standalone.micro_f1_mean)
 
@@ -189,25 +190,33 @@ class TestPruningReport:
         model, emb, labels = self.fitted_setup()
         report = pruning_report(
             model, emb, labels, threshold=0.0,
-            eval_config={"repeats": 3, "seed": 7},
+            eval_config=EvalConfig(repeats=3, seed=7),
         )
         assert report["eval_config"] == {
             "train_fraction": 0.5, "repeats": 3, "seed": 7, "l2_strength": 1.0,
         }
-        with pytest.raises(ValueError, match="unknown eval_config"):
-            pruning_report(model, emb, labels, 0.0, eval_config={"folds": 5})
+        with pytest.raises(TypeError, match="folds"):
+            pruning_report(model, emb, labels, 0.0, eval_config=EvalConfig(folds=5))
 
     def test_given_before_report_replaces_the_first_evaluation(self):
         model, emb, labels = self.fitted_setup()
-        before = evaluate(emb, labels, train_fraction=0.5, repeats=10, seed=0)
+        before = evaluate(emb, labels, EvalConfig(train_fraction=0.5, repeats=10, seed=0))
         reused = pruning_report(model, emb, labels, threshold=0.5, before=before)
         assert reused == pruning_report(model, emb, labels, threshold=0.5)
         with pytest.raises(ValueError, match="train fraction 0.3"):
             pruning_report(model, emb, labels, threshold=0.5, before=evaluate(
-                emb, labels, train_fraction=0.3, repeats=10, seed=0))
+                emb, labels, EvalConfig(train_fraction=0.3, repeats=10, seed=0)))
         with pytest.raises(ValueError, match="10 repeats"):
             pruning_report(model, emb, labels, threshold=0.5,
-                           eval_config={"repeats": 3}, before=before)
+                           eval_config=EvalConfig(repeats=3), before=before)
+
+    def test_before_under_another_seed_or_l2_strength_rejected(self):
+        # a report scored under seed 1 must not be passed off as seed 0's
+        model, emb, labels = self.fitted_setup()
+        for other in (EvalConfig(seed=1), EvalConfig(l2_strength=2.0)):
+            before = evaluate(emb, labels, other)
+            with pytest.raises(ValueError, match="does not match EvalConfig"):
+                pruning_report(model, emb, labels, threshold=0.5, before=before)
 
     def test_pruning_everything_is_an_error(self):
         model, emb, labels = self.fitted_setup()

@@ -10,6 +10,7 @@ import graphfactor.cli
 import graphfactor.interpret
 import graphfactor.pipeline
 from graphfactor import (
+    EvalConfig,
     NumericalError,
     PipelineConfig,
     PipelineError,
@@ -169,7 +170,8 @@ class TestRunPipeline:
         assert run_files(tmp_path / "run") == sorted(run_files(tmp_path / "fresh") + kept)
 
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
-        for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}):
+        for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
+                    {"l2_strength": 0.0}, {"train_fractions": (1.0,)}):
             config = demo_config(demo_paths, **bad)
             with pytest.raises(ValueError):
                 run_pipeline(config, tmp_path / "run")
@@ -253,7 +255,7 @@ class TestPruningReportReuse:
             extract_embeddings(model, "A"),
             load_labels(demo_paths["labels"], num_nodes=30),
             self.THRESHOLD,
-            eval_config={"train_fraction": 0.3, "repeats": 3, "seed": 0, "l2_strength": 1.0},
+            eval_config=EvalConfig(train_fraction=0.3, repeats=3, seed=0, l2_strength=1.0),
         )
         assert len(standalone["removed_dimensions"]) == 1
         assert json.loads((run_dir / "pruning_report.json").read_text()) == standalone
@@ -262,9 +264,9 @@ class TestPruningReportReuse:
         calls = []
         evaluate = graphfactor.interpret.evaluate
 
-        def counting_evaluate(*args, **kwargs):
-            calls.append(kwargs["train_fraction"])
-            return evaluate(*args, **kwargs)
+        def counting_evaluate(emb, labels, config):
+            calls.append(config.train_fraction)
+            return evaluate(emb, labels, config)
 
         monkeypatch.setattr(graphfactor.interpret, "evaluate", counting_evaluate)
         config = demo_config(demo_paths, prune_threshold=self.THRESHOLD,

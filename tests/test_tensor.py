@@ -50,11 +50,12 @@ class TestStackViews:
         x = stack_views(g, z)
         assert np.array_equal(x.slices[1].toarray(), z.toarray())
 
-    def test_size_mismatch_rejected(self):
+    def test_smaller_view_padded_and_non_square_view_rejected(self):
         g = Graph(num_nodes=3, edges=frozenset({(0, 1)}))
-        z = sp.csr_matrix((4, 4))
+        x = stack_views(g, sp.csr_matrix((4, 4)))
+        assert x.dims == (4, 4, 2)
         with pytest.raises(ValueError):
-            stack_views(g, z)
+            stack_views(g, sp.csr_matrix((4, 3)))
 
     def test_from_slices_validation(self):
         with pytest.raises(ValueError):
