@@ -17,15 +17,11 @@ from .cpals import (
     save_model,
 )
 from .dataio import (
-    EmbeddingMatrix,
-    FeatureMatrix,
     Graph,
     LabelSet,
     load_edge_list,
-    load_embeddings,
     load_features,
     load_labels,
-    save_embeddings,
 )
 from .embedding import extract_embeddings, prune_dimensions
 from .errors import DataError, NumericalError, ParseError, PipelineError
@@ -40,7 +36,6 @@ from .evaluate import (
     train_ovr,
 )
 from .interpret import (
-    ViewWeightTable,
     dimension_correlation,
     pruning_report,
     view_weights,
@@ -55,11 +50,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlsConfig",
     "DataError",
-    "EmbeddingMatrix",
     "EvalConfig",
     "EvalReport",
     "FactorModel",
-    "FeatureMatrix",
     "Graph",
     "KnnView",
     "LabelSet",
@@ -69,7 +62,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineError",
     "Tensor3",
-    "ViewWeightTable",
     "als_step",
     "build_knn_view",
     "decompose",
@@ -79,7 +71,6 @@ __all__ = [
     "fit",
     "init_factors",
     "load_edge_list",
-    "load_embeddings",
     "load_features",
     "load_labels",
     "load_model",
@@ -91,7 +82,6 @@ __all__ = [
     "pruning_report",
     "reconstruct_view",
     "run_pipeline",
-    "save_embeddings",
     "save_model",
     "stack_views",
     "sweep",

@@ -12,13 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cpals import AlsConfig, decompose, load_model, save_model
+from .cpals import INIT_CHOICES, AlsConfig, decompose, load_model, save_model
 from .dataio import (
     load_edge_list,
-    load_embeddings,
     load_features,
     load_labels,
-    save_embeddings,
+    load_matrix,
     save_json,
     save_matrix,
 )
@@ -68,13 +67,8 @@ def _cmd_decompose(args) -> int:
     graph = load_edge_list(args.adj)
     z = None if args.knn is None else load_directed_edge_list(args.knn)
     tensor = stack_views(graph, z)
-    config = AlsConfig(
-        rank=args.rank,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        init=args.init,
-    )
+    config = AlsConfig(rank=args.rank, max_iters=args.max_iters, tol=args.tol,
+                       seed=args.seed, init=args.init)
     model = decompose(tensor, config)
     save_model(model, args.out, config)
     status = "converged" if model.converged else "did not converge"
@@ -91,9 +85,9 @@ def _cmd_embed(args) -> int:
     removed: list = []
     if args.prune_threshold is not None:
         emb, removed = prune_dimensions(emb, model, args.prune_threshold)
-    save_embeddings(emb, args.out)
+    save_matrix(emb, args.out)
     note = f", pruned dimensions {removed}" if removed else ""
-    print(f"wrote {args.out}: {emb.num_nodes} nodes x {emb.dim} dims{note}")
+    print(f"wrote {args.out}: {emb.shape[0]} nodes x {emb.shape[1]} dims{note}")
     return EXIT_OK
 
 
@@ -103,8 +97,8 @@ def _eval_config(args) -> EvalConfig:
 
 
 def _cmd_evaluate(args) -> int:
-    emb = load_embeddings(args.embeddings)
-    labels = load_labels(args.labels, num_nodes=emb.num_nodes)
+    emb = load_matrix(args.embeddings)
+    labels = load_labels(args.labels, num_nodes=emb.shape[0])
     report = evaluate(emb, labels, _eval_config(args))
     save_json(report.to_dict(), args.out)
     print(
@@ -117,9 +111,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_interpret(args) -> int:
     model = load_model(args.model)
-    table = view_weights(model)
-    write_weights_csv(table, args.out)
-    print(f"wrote {args.out}: {table.num_dims} dimensions x {table.num_views} views")
+    weights = view_weights(model)
+    write_weights_csv(weights, args.out)
+    print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
     if not args.prune_eval:
         return EXIT_OK
     missing = [
@@ -134,8 +128,8 @@ def _cmd_interpret(args) -> int:
     ]
     if missing:
         return _usage_error(f"--prune-eval requires {', '.join(missing)}")
-    emb = load_embeddings(args.embeddings)
-    labels = load_labels(args.labels, num_nodes=emb.num_nodes)
+    emb = load_matrix(args.embeddings)
+    labels = load_labels(args.labels, num_nodes=emb.shape[0])
     report = pruning_report(model, emb, labels, args.threshold, _eval_config(args))
     save_json(report, args.report_out)
     print(
@@ -199,10 +193,7 @@ def _add_dataset_args(parser, labels_required: bool) -> None:
         help="node label file (evaluation aborts without it)",
     )
     parser.add_argument("--k", type=int, required=True, help="neighbors per node")
-    parser.add_argument("--rank", type=int, required=True, help="decomposition rank d")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-iters", type=int, default=100)
+    _add_als_args(parser)
     parser.add_argument("--train-fractions", type=float, nargs="+",
                         default=[EvalConfig.train_fraction], metavar="F")
     parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
@@ -210,12 +201,19 @@ def _add_dataset_args(parser, labels_required: bool) -> None:
                         help="inverse L2 strength")
     parser.add_argument("--prune-threshold", type=float, default=None)
     parser.add_argument("--source", choices=EMBEDDING_SOURCES, default="A")
-    parser.add_argument("--init", choices=("uniform", "normal"), default="uniform")
     parser.add_argument(
         "--no-knn-view",
         action="store_true",
         help="drop the feature-similarity view (adjacency-only ablation)",
     )
+
+
+def _add_als_args(parser) -> None:
+    parser.add_argument("--rank", type=int, required=True, help="decomposition rank d")
+    parser.add_argument("--seed", type=int, default=AlsConfig.seed)
+    parser.add_argument("--tol", type=float, default=AlsConfig.tol)
+    parser.add_argument("--max-iters", type=int, default=AlsConfig.max_iters)
+    parser.add_argument("--init", choices=INIT_CHOICES, default=AlsConfig.init)
 
 
 def _add_eval_args(parser) -> None:
@@ -246,11 +244,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="factorize the stacked view tensor")
     p.add_argument("--adj", required=True, help="undirected edge list")
     p.add_argument("--knn", default=None, help="directed edge list (omit for 1 view)")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--init", choices=("uniform", "normal"), default="uniform")
+    _add_als_args(p)
     p.add_argument("--out", required=True, help="model output directory")
     p.set_defaults(handler=_cmd_decompose)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,12 @@ class AlsConfig:
     init: str = "uniform"
 
     def validate(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.rank, Integral) or self.rank < 1:
+            raise ValueError(f"rank must be an integer >= 1, got {self.rank}")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.init not in INIT_CHOICES:

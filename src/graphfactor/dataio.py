@@ -21,14 +21,10 @@ from .errors import DataError, ParseError
 
 __all__ = [
     "Graph",
-    "FeatureMatrix",
     "LabelSet",
-    "EmbeddingMatrix",
     "load_edge_list",
     "load_features",
     "load_labels",
-    "save_embeddings",
-    "load_embeddings",
     "save_matrix",
     "load_matrix",
     "save_json",
@@ -61,30 +57,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """Sparse nonnegative node-by-feature matrix."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_features(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def entries(self):
-        """Stored (node, feature, value) triples, row-major order."""
-        coo = self.matrix.tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-
-
-@dataclass(frozen=True)
 class LabelSet:
     """Per-node label-id sets; nodes with an empty set are unlabeled."""
 
@@ -97,21 +69,6 @@ class LabelSet:
 
     def labeled_nodes(self):
         return [v for v in range(self.num_nodes) if self.assignments[v]]
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Dense per-node embedding vectors, one row per node."""
-
-    rows: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
 
 # Field kinds of a record: the token parser, the column dtype, the test each
@@ -205,7 +162,7 @@ def load_edge_list(path) -> Graph:
                  self_loops_dropped=int(u.size - kept.sum()))
 
 
-def load_features(path) -> FeatureMatrix:
+def load_features(path) -> sp.csr_matrix:
     """Parse sparse node features ("node feature [value]" per line).
 
     A missing value defaults to 1.0 (binary indicator features).
@@ -223,7 +180,7 @@ def load_features(path) -> FeatureMatrix:
     ).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
-    return FeatureMatrix(matrix=mat)
+    return mat
 
 
 def load_labels(path, num_nodes: int | None = None) -> LabelSet:
@@ -276,17 +233,6 @@ def load_matrix(path) -> np.ndarray:
     kinds = "f" * min(n_cols, len(body[0]) + 1)
     columns = parse_records(path, body, f"{n_cols} values", kinds)
     return np.array(columns, dtype=np.float64).reshape(n_cols, n_rows).T.copy()
-
-
-def save_embeddings(emb: EmbeddingMatrix, path) -> None:
-    """Persist an embedding; load_embeddings reproduces it bit-exactly."""
-    if emb.rows.ndim != 2 or emb.dim < 1:
-        raise ValueError("embedding must have at least one dimension")
-    save_matrix(emb.rows, path)
-
-
-def load_embeddings(path) -> EmbeddingMatrix:
-    return EmbeddingMatrix(rows=load_matrix(path))
 
 
 def save_json(obj, path) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cpals import FactorModel
-from .dataio import EmbeddingMatrix
 
 __all__ = [
     "EMBEDDING_SOURCES",
@@ -41,7 +40,7 @@ def dimension_weights(model: FactorModel) -> np.ndarray:
     return view_dimension_weights(model).max(axis=0)
 
 
-def extract_embeddings(model: FactorModel, source: str = "A") -> EmbeddingMatrix:
+def extract_embeddings(model: FactorModel, source: str = "A") -> np.ndarray:
     """Rows of the chosen node factor, scale-weighted per column."""
     if source not in EMBEDDING_SOURCES:
         raise ValueError(f"source must be one of {EMBEDDING_SOURCES}, got {source!r}")
@@ -53,12 +52,12 @@ def extract_embeddings(model: FactorModel, source: str = "A") -> EmbeddingMatrix
         rows = np.hstack(
             [model.A * model.column_scales, model.B * model.column_scales]
         )
-    return EmbeddingMatrix(rows=np.ascontiguousarray(rows, dtype=np.float64))
+    return np.ascontiguousarray(rows, dtype=np.float64)
 
 
 def prune_dimensions(
-    emb: EmbeddingMatrix, model: FactorModel, threshold: float
-) -> tuple[EmbeddingMatrix, list[int]]:
+    emb: np.ndarray, model: FactorModel, threshold: float
+) -> tuple[np.ndarray, list[int]]:
     """Drop embedding columns whose component weight is below threshold.
 
     Surviving columns keep their original order. Pruning an
@@ -68,11 +67,12 @@ def prune_dimensions(
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     weights = dimension_weights(model)
     removed = [r for r in range(model.rank) if weights[r] < threshold]
-    if emb.dim == model.rank - len(removed) and emb.dim != model.rank:
+    dim = emb.shape[1]
+    if dim == model.rank - len(removed) and dim != model.rank:
         return emb, []
-    if emb.dim != model.rank:
+    if dim != model.rank:
         raise ValueError(
-            f"embedding dim {emb.dim} does not match model rank {model.rank}"
+            f"embedding dim {dim} does not match model rank {model.rank}"
         )
     if len(removed) == model.rank:
         raise ValueError(
@@ -82,4 +82,4 @@ def prune_dimensions(
     if not removed:
         return emb, []
     kept = [r for r in range(model.rank) if weights[r] >= threshold]
-    return EmbeddingMatrix(rows=np.ascontiguousarray(emb.rows[:, kept])), removed
+    return np.ascontiguousarray(emb[:, kept]), removed

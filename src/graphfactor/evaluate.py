@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.optimize
 import scipy.special
 
 from ._blas import single_blas_thread
-from .dataio import EmbeddingMatrix, LabelSet
+from .dataio import LabelSet
 from .errors import NumericalError
 
 __all__ = [
@@ -53,8 +54,10 @@ class EvalConfig:
     def validate(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not isinstance(self.repeats, Integral) or self.repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if not self.l2_strength > 0:
             raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
 
@@ -142,7 +145,7 @@ def _indicator(label_sets, universe) -> np.ndarray:
 
 
 def train_ovr(
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     labels: LabelSet,
     train_idx,
     l2_strength: float = 1.0,
@@ -156,7 +159,7 @@ def train_ovr(
         raise ValueError("train_idx must be nonempty")
     if not l2_strength > 0:
         raise ValueError(f"l2_strength must be positive, got {l2_strength}")
-    outside = (train_idx < 0) | (train_idx >= emb.num_nodes)
+    outside = (train_idx < 0) | (train_idx >= emb.shape[0])
     if outside.any():
         raise ValueError(f"train node {train_idx[outside][0]} outside embedding rows")
     beyond = train_idx >= labels.num_nodes
@@ -167,10 +170,10 @@ def train_ovr(
     if unlabeled.any():
         raise ValueError(f"train node {train_idx[unlabeled][0]} has no labels")
 
-    x = emb.rows[train_idx]
+    x = emb[train_idx]
     targets = np.where(members, 1.0, -1.0)
     positive = members.any(axis=0)
-    weights = np.zeros((labels.num_labels, emb.dim))
+    weights = np.zeros((labels.num_labels, emb.shape[1]))
     biases = np.zeros(labels.num_labels)
     for label in np.flatnonzero(positive):
         weights[label], biases[label] = _fit_binary(x, targets[:, label], l2_strength)
@@ -291,17 +294,17 @@ def stratified_split(
 
 
 def evaluate(
-    emb: EmbeddingMatrix, labels: LabelSet, config: EvalConfig = EvalConfig()
+    emb: np.ndarray, labels: LabelSet, config: EvalConfig = EvalConfig()
 ) -> EvalReport:
     """Repeated stratified split evaluation; deterministic in the seed."""
     config.validate()
     labeled = labels.labeled_nodes()
     if len(labeled) < 2:
         raise ValueError("need at least 2 labeled nodes to evaluate")
-    if labeled and max(labeled) >= emb.num_nodes:
+    if labeled and max(labeled) >= emb.shape[0]:
         raise ValueError(
             f"label file references node {max(labeled)} but embeddings "
-            f"have {emb.num_nodes} rows"
+            f"have {emb.shape[0]} rows"
         )
     members = _indicator(labels.assignments, range(labels.num_labels))
     scores = []
@@ -312,7 +315,7 @@ def evaluate(
             train_idx, test_idx = stratified_split(labels, config.train_fraction, rng)
             clf = train_ovr(emb, labels, train_idx, config.l2_strength)
             truth = members[test_idx]
-            predicted = predict(clf, emb.rows[test_idx], truth.sum(axis=1))
+            predicted = predict(clf, emb[test_idx], truth.sum(axis=1))
             scores.append(_f1_scores(predicted, truth))
             degenerate_counts.append(len(clf.degenerate_labels))
     micro_scores, macro_scores = zip(*scores)

@@ -10,75 +10,61 @@ column against the surviving columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cpals import FactorModel
-from .dataio import EmbeddingMatrix, LabelSet
+from .dataio import LabelSet
 from .embedding import prune_dimensions, view_dimension_weights
 from .evaluate import EvalConfig, EvalReport, evaluate
 
 __all__ = [
-    "ViewWeightTable",
     "view_weights",
     "write_weights_csv",
     "pruning_report",
     "dimension_correlation",
 ]
 
-@dataclass(frozen=True)
-class ViewWeightTable:
-    """|scale-weighted view coefficient| per (view, dimension)."""
-
-    num_views: int
-    num_dims: int
-    weights: np.ndarray
-
-
-def view_weights(model: FactorModel) -> ViewWeightTable:
-    """Per-view contribution of each dimension.
+def view_weights(model: FactorModel) -> np.ndarray:
+    """Per-view contribution of each dimension, as a views x dimensions array.
 
     Computed on the canonical form (node factors column-normalized), so
     the table depends only on the reconstruction the model denotes, not
     on how magnitude is split between factors and scales.
     """
-    weights = view_dimension_weights(model)
-    return ViewWeightTable(
-        num_views=weights.shape[0],
-        num_dims=weights.shape[1],
-        weights=weights,
-    )
+    return view_dimension_weights(model)
 
 
-def write_weights_csv(table: ViewWeightTable, path) -> None:
+def write_weights_csv(weights: np.ndarray, path) -> None:
     """One row per dimension, one weight column per view."""
-    header = "dimension," + ",".join(f"view_{l}" for l in range(table.num_views))
+    num_views, num_dims = weights.shape
+    header = "dimension," + ",".join(f"view_{l}" for l in range(num_views))
     lines = [header]
-    for r in range(table.num_dims):
-        cells = [str(r)] + [repr(float(table.weights[l, r])) for l in range(table.num_views)]
+    for r in range(num_dims):
+        cells = [str(r)] + [repr(float(weights[l, r])) for l in range(num_views)]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def dimension_correlation(emb: EmbeddingMatrix, removed) -> dict:
+def dimension_correlation(emb: np.ndarray, removed) -> dict:
     """Max |Pearson r| of each removed column against surviving columns.
 
     Columns with zero variance correlate 0 with everything by
     convention. Requires at least two surviving dimensions and three
     nodes.
     """
+    num_nodes, dim = emb.shape
     removed = sorted(int(r) for r in removed)
     for r in removed:
-        if r < 0 or r >= emb.dim:
-            raise ValueError(f"removed dimension {r} outside embedding dim {emb.dim}")
-    survivors = [r for r in range(emb.dim) if r not in set(removed)]
+        if r < 0 or r >= dim:
+            raise ValueError(f"removed dimension {r} outside embedding dim {dim}")
+    survivors = [r for r in range(dim) if r not in set(removed)]
     if len(survivors) < 2:
         raise ValueError("need at least 2 surviving dimensions")
-    if emb.num_nodes < 3:
+    if num_nodes < 3:
         raise ValueError("need at least 3 nodes to correlate dimensions")
-    centered = emb.rows - emb.rows.mean(axis=0)
+    centered = emb - emb.mean(axis=0)
     norms = np.linalg.norm(centered, axis=0)
     result = {}
     for r in removed:
@@ -97,7 +83,7 @@ def dimension_correlation(emb: EmbeddingMatrix, removed) -> dict:
 
 def pruning_report(
     model: FactorModel,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     labels: LabelSet,
     threshold: float,
     eval_config: EvalConfig = EvalConfig(),
@@ -125,9 +111,10 @@ def pruning_report(
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
     after = evaluate(pruned_emb, labels, eval_config) if removed else before
 
+    num_nodes, dim = emb.shape
     correlations = []
-    survivors = emb.dim - len(removed)
-    if removed and survivors >= 2 and emb.num_nodes >= 3:
+    survivors = dim - len(removed)
+    if removed and survivors >= 2 and num_nodes >= 3:
         corr = dimension_correlation(emb, removed)
         correlations = [
             {"dimension": r, "max_abs_pearson": float(corr[r])} for r in sorted(corr)
@@ -135,8 +122,8 @@ def pruning_report(
     return {
         "threshold": float(threshold),
         "removed_dimensions": [int(r) for r in removed],
-        "dims_before": int(emb.dim),
-        "dims_after": int(emb.dim - len(removed)),
+        "dims_before": int(dim),
+        "dims_after": int(survivors),
         "micro_f1_before": float(before.micro_f1_mean),
         "micro_f1_after": float(after.micro_f1_mean),
         "micro_f1_delta": float(after.micro_f1_mean - before.micro_f1_mean),

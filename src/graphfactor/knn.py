@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import FeatureMatrix, parse_records, read_records
+from .dataio import parse_records, read_records
 
 __all__ = [
     "KnnView",
@@ -95,7 +95,7 @@ def _select_block(neg: np.ndarray, k: int):
     return np.divmod(flat, n)
 
 
-def build_knn_view(features: FeatureMatrix, k: int,
+def build_knn_view(features: sp.csr_matrix, k: int,
                    block_rows: int | None = None) -> KnnView:
     """Cosine similarity followed by per-row top-k selection.
 
@@ -111,7 +111,7 @@ def build_knn_view(features: FeatureMatrix, k: int,
     [0, 1]), so parallel rows can rank by rounding; see the module
     docstring.
     """
-    n = features.num_nodes
+    n = features.shape[0]
     if n < 2:
         raise ValueError("need at least 2 nodes to build a proximity view")
     if k < 1:
@@ -122,14 +122,13 @@ def build_knn_view(features: FeatureMatrix, k: int,
         block_rows = max(1, _BLOCK_BYTES // (_BYTES_PER_ENTRY * n))
     elif block_rows < 1:
         raise ValueError("block_rows must be >= 1")
-    mat = features.matrix
-    mat_t = mat.T.tocsr()
-    norms = _row_norms(mat)
+    mat_t = features.T.tocsr()
+    norms = _row_norms(features)
     degree = np.zeros(n, dtype=np.int64)
     picked = []
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
-        block = (mat[start:stop] @ mat_t).toarray()
+        block = (features[start:stop] @ mat_t).toarray()
         denom = np.outer(norms[start:stop], norms)
         # A zero-norm row or column has all-zero dots, so the entries the
         # division skips already hold similarity 0.

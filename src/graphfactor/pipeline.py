@@ -16,6 +16,7 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 from .cpals import AlsConfig, decompose, save_model
@@ -24,8 +25,8 @@ from .dataio import (
     load_features,
     load_json,
     load_labels,
-    save_embeddings,
     save_json,
+    save_matrix,
     sha256_file,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
@@ -67,15 +68,15 @@ class PipelineConfig:
     labels: str | None
     k: int
     rank: int
-    seed: int = 0
-    tol: float = 1e-6
-    max_iters: int = 100
+    seed: int = AlsConfig.seed
+    tol: float = AlsConfig.tol
+    max_iters: int = AlsConfig.max_iters
     train_fractions: tuple = (EvalConfig.train_fraction,)
     repeats: int = EvalConfig.repeats
     l2_strength: float = EvalConfig.l2_strength
     prune_threshold: float | None = None
     embedding_source: str = "A"
-    init: str = "uniform"
+    init: str = AlsConfig.init
     use_knn_view: bool = True
 
     def als_config(self) -> AlsConfig:
@@ -92,8 +93,8 @@ class PipelineConfig:
                           l2_strength=self.l2_strength)
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.k, Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k}")
         self.als_config().validate()
         if not self.train_fractions:
             raise ValueError("train_fractions must be nonempty")
@@ -241,12 +242,12 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
 
     def stage_embed() -> dict:
         emb = extract_embeddings(state["model"], config.embedding_source)
-        save_embeddings(emb, run_dir / "embeddings.txt")
+        save_matrix(emb, run_dir / "embeddings.txt")
         state["emb"] = emb
         return {
             "source": config.embedding_source,
-            "num_nodes": emb.num_nodes,
-            "dim": emb.dim,
+            "num_nodes": emb.shape[0],
+            "dim": emb.shape[1],
             "output": "embeddings.txt",
         }
 
@@ -274,8 +275,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
 
     def stage_interpret() -> dict:
         model = state["model"]
-        table = view_weights(model)
-        write_weights_csv(table, run_dir / "weights.csv")
+        write_weights_csv(view_weights(model), run_dir / "weights.csv")
         details: dict = {"weights_csv": "weights.csv"}
         if config.prune_threshold is not None:
             # The source-A embedding was already scored at the first train
@@ -298,7 +298,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             pruned_emb, _removed = prune_dimensions(
                 emb_a, model, config.prune_threshold
             )
-            save_embeddings(pruned_emb, run_dir / "embeddings_pruned.txt")
+            save_matrix(pruned_emb, run_dir / "embeddings_pruned.txt")
             details["pruning_report"] = report
             details["pruned_embeddings"] = "embeddings_pruned.txt"
         return details

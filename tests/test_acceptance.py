@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from graphfactor import (
     AlsConfig,
     EvalConfig,
-    FeatureMatrix,
     Graph,
     LabelSet,
     Tensor3,
@@ -51,7 +50,7 @@ def verdict(capsys, criterion: int, ok: bool, detail: str) -> None:
 
 def in_memory(ds):
     graph = Graph(num_nodes=ds.config.num_nodes, edges=frozenset(ds.edges))
-    features = FeatureMatrix(matrix=ds.features_csr())
+    features = ds.features_csr()
     labels = LabelSet(
         num_nodes=ds.config.num_nodes,
         num_labels=ds.config.num_classes,
@@ -166,7 +165,7 @@ def test_criterion_4_knn_view_matches_brute_force(capsys):
         density = rng.uniform(0.05, 0.5)
         dense = (rng.random((n, f)) < density).astype(float)
         k = int(rng.integers(1, n))
-        view = build_knn_view(FeatureMatrix(matrix=sp.csr_matrix(dense)), k)
+        view = build_knn_view(sp.csr_matrix(dense), k)
         degrees = np.diff(view.indptr)
         got = list(zip(np.repeat(np.arange(n), degrees).tolist(), view.indices.tolist()))
         if got != oracle_knn_edges(dense, k):
@@ -203,7 +202,7 @@ def test_criterion_5_citeseer_shaped_edge_count(capsys, citeseer_assets):
     # fewer than k strictly positive similarities
     explained = []
     unexplained = []
-    dense = features.matrix.toarray()
+    dense = features.toarray()
     sim = oracle_cosine(dense)
     for node in deficient:
         positives = int((sim[node] > 0.0).sum())

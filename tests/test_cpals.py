@@ -59,6 +59,11 @@ class TestConfigAndInit:
             AlsConfig(rank=2, tol=0.0).validate()
         with pytest.raises(ValueError):
             AlsConfig(rank=2, init="fancy").validate()
+        for bad in (AlsConfig(rank=2.5), AlsConfig(rank=2, max_iters=10.0),
+                    AlsConfig(rank=2, seed=-1)):
+            with pytest.raises(ValueError):
+                bad.validate()
+        AlsConfig(rank=np.int64(2), max_iters=np.int64(5), seed=np.uint8(3)).validate()
 
     def test_init_deterministic_and_seed_sensitive(self):
         a = init_factors((4, 5, 2), AlsConfig(rank=3, seed=11))

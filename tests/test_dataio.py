@@ -8,15 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from graphfactor import (
     DataError,
-    EmbeddingMatrix,
     Graph,
     ParseError,
     load_edge_list,
-    load_embeddings,
     load_features,
     load_labels,
     load_model,
-    save_embeddings,
 )
 from graphfactor.dataio import load_matrix, save_matrix, sha256_file
 from graphfactor.knn import load_directed_edge_list
@@ -25,6 +22,12 @@ from oracles import oracle_id_pairs
 
 # Fixed example generation, so that every run tries the same inputs.
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def entries(mat):
+    """Stored (node, feature, value) triples of a CSR matrix, row-major order."""
+    coo = mat.tocoo()
+    return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
 def write(tmp_path, name, text):
@@ -86,19 +89,19 @@ class TestLoadFeatures:
     def test_default_value_and_shape(self, tmp_path):
         p = write(tmp_path, "f.txt", "0 0\n0 2 0.5\n1 1 2.0\n")
         f = load_features(p)
-        assert (f.num_nodes, f.num_features) == (2, 3)
-        assert f.entries() == [(0, 0, 1.0), (0, 2, 0.5), (1, 1, 2.0)]
+        assert f.shape == (2, 3)
+        assert entries(f) == [(0, 0, 1.0), (0, 2, 0.5), (1, 1, 2.0)]
 
     def test_duplicates_summed_zeros_dropped(self, tmp_path):
         p = write(tmp_path, "f.txt", "0 0 1.5\n0 0 0.5\n1 1 0.0\n1 0\n")
         f = load_features(p)
-        assert f.entries() == [(0, 0, 2.0), (1, 0, 1.0)]
+        assert entries(f) == [(0, 0, 2.0), (1, 0, 1.0)]
         assert f.nnz == 2
 
     def test_zero_only_rows_keep_node_range(self, tmp_path):
         p = write(tmp_path, "f.txt", "0 0\n3 1 0.0\n")
         f = load_features(p)
-        assert f.num_nodes == 4
+        assert f.shape[0] == 4
 
     @pytest.mark.parametrize(
         "line",
@@ -186,14 +189,6 @@ class TestMatrixFormat:
         with pytest.raises(DataError):
             load_matrix(p)
 
-    def test_embeddings_wrapper(self, tmp_path):
-        emb = EmbeddingMatrix(rows=np.array([[1.5, -2.0], [0.0, 3.25]]))
-        p = tmp_path / "emb.txt"
-        save_embeddings(emb, p)
-        back = load_embeddings(p)
-        assert np.array_equal(back.rows, emb.rows)
-        assert (back.num_nodes, back.dim) == (2, 2)
-
     def test_checksum_stable(self, tmp_path):
         p = write(tmp_path, "x.txt", "0 1\n")
         assert sha256_file(p) == sha256_file(p)
@@ -215,7 +210,7 @@ def _load_scales(path):
 FORMATS = {
     "edges": ("e.txt", load_edge_list, ["0 1", "1 2", "2 0", "3 1"], "2 x"),
     "features": (
-        "f.txt", lambda p: load_features(p).matrix.toarray(),
+        "f.txt", lambda p: load_features(p).toarray(),
         ["0 0", "0 2 0.5", "1 1 2.0", "2 0"], "1 1 -2.0",
     ),
     "labels": ("l.txt", load_labels, ["0 1", "1 0", "2 1", "2 0"], "2"),
@@ -293,7 +288,7 @@ class TestProperties:
             counts[a, b] += 1.0
             sets[a].add(b)
         assert np.array_equal(load_directed_edge_list(p).toarray(), directed)
-        assert np.array_equal(load_features(p).matrix.toarray(), counts)
+        assert np.array_equal(load_features(p).toarray(), counts)
         labels = load_labels(p)
         assert labels.num_labels == n_second
         assert labels.assignments == tuple(frozenset(s) for s in sets)

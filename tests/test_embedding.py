@@ -28,27 +28,27 @@ class TestExtractEmbeddings:
             [[1.0, 1.0], [1.0, 1.0]], [2.0, 0.5],
         )
         emb = extract_embeddings(m, "A")
-        assert np.array_equal(emb.rows, [[2.0, 1.0], [6.0, 2.0]])
+        assert np.array_equal(emb, [[2.0, 1.0], [6.0, 2.0]])
 
     def test_source_b_is_scale_weighted_b(self):
         m = model_from(
             [[1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0]], [3.0, 1.0],
         )
         emb = extract_embeddings(m, "B")
-        assert np.array_equal(emb.rows, [[3.0, 2.0], [9.0, 4.0]])
+        assert np.array_equal(emb, [[3.0, 2.0], [9.0, 4.0]])
 
     def test_concat_doubles_dim(self):
         rng = np.random.default_rng(0)
         m = model_from(rng.random((4, 2)), rng.random((4, 2)), rng.random((2, 2)), [1.0, 1.0])
         emb = extract_embeddings(m, "A-concat-B")
-        assert emb.dim == 4
-        assert np.array_equal(emb.rows[:, :2], extract_embeddings(m, "A").rows)
-        assert np.array_equal(emb.rows[:, 2:], extract_embeddings(m, "B").rows)
+        assert emb.shape[1] == 4
+        assert np.array_equal(emb[:, :2], extract_embeddings(m, "A"))
+        assert np.array_equal(emb[:, 2:], extract_embeddings(m, "B"))
 
     def test_one_node_model(self):
         m = model_from([[5.0]], [[1.0]], [[1.0], [2.0]], [1.0])
         emb = extract_embeddings(m)
-        assert emb.rows.shape == (1, 1)
+        assert emb.shape == (1, 1)
 
     def test_unknown_source_rejected(self):
         m = model_from([[1.0]], [[1.0]], [[1.0]], [1.0])
@@ -89,8 +89,8 @@ class TestPruneDimensions:
         emb = extract_embeddings(m)
         pruned, removed = prune_dimensions(emb, m, 0.12)
         assert removed == [1]
-        assert pruned.dim == 1
-        assert np.array_equal(pruned.rows, emb.rows[:, [0]])
+        assert pruned.shape[1] == 1
+        assert np.array_equal(pruned, emb[:, [0]])
 
     def test_threshold_zero_removes_nothing(self):
         rng = np.random.default_rng(3)
@@ -118,7 +118,7 @@ class TestPruneDimensions:
         assert removed == [1]
         twice, removed_again = prune_dimensions(once, m, 0.12)
         assert removed_again == []
-        assert np.array_equal(twice.rows, once.rows)
+        assert np.array_equal(twice, once)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
@@ -143,13 +143,13 @@ class TestPruneDimensions:
         pruned, removed = prune_dimensions(emb, m, 0.12)
         kept = [r for r in range(4) if r not in removed]
         direct = (m.A * m.column_scales)[:, kept]
-        assert np.array_equal(pruned.rows, direct)
+        assert np.array_equal(pruned, direct)
 
     def test_mismatched_embedding_rejected(self):
         rng = np.random.default_rng(8)
         m = model_from(unit_cols(rng, 4, 3), unit_cols(rng, 4, 3), rng.random((2, 3)) + 0.5, np.ones(3))
         emb = extract_embeddings(m)
-        bad = type(emb)(rows=emb.rows[:, :2])  # dim 2 vs rank 3, nothing sub-threshold
+        bad = emb[:, :2]  # dim 2 vs rank 3, nothing sub-threshold
         with pytest.raises(ValueError):
             prune_dimensions(bad, m, 0.12)
 

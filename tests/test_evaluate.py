@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfactor import (
-    EmbeddingMatrix,
     EvalConfig,
     LabelSet,
     evaluate,
@@ -36,7 +35,7 @@ def labelset(assignments, num_labels=None):
 
 
 def emb_of(rows):
-    return EmbeddingMatrix(rows=np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 def picked_sets(picked):
@@ -49,7 +48,7 @@ class TestTrainOvr:
         emb = emb_of([[1.0, 0.0], [1.2, 0.0], [-1.0, 0.0], [-0.8, 0.0]])
         labels = labelset([{0}, {0}, {1}, {1}])
         clf = train_ovr(emb, labels, [0, 1, 2, 3])
-        assert picked_sets(predict(clf, emb.rows, 1)) == [{0}, {0}, {1}, {1}]
+        assert picked_sets(predict(clf, emb, 1)) == [{0}, {0}, {1}, {1}]
 
     def test_train_node_past_the_label_set_rejected(self):
         emb = emb_of([[1.0], [2.0], [3.0]])
@@ -64,7 +63,7 @@ class TestTrainOvr:
         p = 0.7
         bound = 10 * (-p * np.log(p) - (1 - p) * np.log(1 - p))
         y = np.array([1.0] * 7 + [-1.0] * 3)
-        loss = _logistic_objective(np.append(clf.weights[0], clf.biases[0]), emb.rows, y, 1.0)[0]
+        loss = _logistic_objective(np.append(clf.weights[0], clf.biases[0]), emb, y, 1.0)[0]
         assert loss == pytest.approx(bound, abs=1e-6)
 
     def test_matches_newton_oracle(self):
@@ -98,7 +97,7 @@ class TestTrainOvr:
         clf = train_ovr(emb, labels, [0, 1, 2])
         assert clf.degenerate_labels == (2,)
         # the degenerate label is never predicted
-        assert not predict(clf, emb.rows, 1)[:, 2].any()
+        assert not predict(clf, emb, 1)[:, 2].any()
 
     def test_preconditions(self):
         emb = emb_of([[1.0], [2.0]])
@@ -361,8 +360,11 @@ class TestEvaluate:
             evaluate(emb, labels, EvalConfig(0.0, repeats=1))
         with pytest.raises(ValueError):
             evaluate(emb, labels, EvalConfig(1.0, repeats=1))
-        with pytest.raises(ValueError):
-            evaluate(emb, labels, EvalConfig(0.5, repeats=0))
+        for bad in (EvalConfig(0.5, repeats=0), EvalConfig(0.5, repeats=2.5),
+                    EvalConfig(0.5, repeats=1, seed=-1)):
+            with pytest.raises(ValueError):
+                evaluate(emb, labels, bad)
+        evaluate(emb, labels, EvalConfig(0.5, repeats=np.int64(1), seed=np.int32(1)))
         short = labelset([{0}], num_labels=1)
         with pytest.raises(ValueError):
             evaluate(emb, short, EvalConfig(0.5, repeats=1))

@@ -1,18 +1,14 @@
 """Tests for the view-weight table, pruning report, and correlations."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from graphfactor import (
     AlsConfig,
-    EmbeddingMatrix,
     EvalConfig,
     FactorModel,
     LabelSet,
     Tensor3,
-    ViewWeightTable,
     decompose,
     dimension_correlation,
     evaluate,
@@ -33,7 +29,7 @@ def make_model(a, b, c, scales):
 
 
 def emb_of(rows):
-    return EmbeddingMatrix(rows=np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 def labelset(sets):
@@ -53,10 +49,9 @@ class TestViewWeights:
             c=[[0.5, -0.05], [0.4, 0.01]],
             scales=[1.0, 1.0],
         )
-        table = view_weights(model)
-        assert table.num_views == 2
-        assert table.num_dims == 2
-        np.testing.assert_allclose(table.weights, [[0.5, 0.05], [0.4, 0.01]])
+        weights = view_weights(model)
+        assert weights.shape == (2, 2)
+        np.testing.assert_allclose(weights, [[0.5, 0.05], [0.4, 0.01]])
 
     def test_invariant_to_scale_representation(self):
         rng = np.random.default_rng(0)
@@ -69,7 +64,7 @@ class TestViewWeights:
         beta = np.array([4.0, 1.0, 0.25])
         rescaled = make_model(a * alpha, b * beta, c, 1.0 / (alpha * beta))
         np.testing.assert_allclose(
-            view_weights(base).weights, view_weights(rescaled).weights, rtol=1e-12
+            view_weights(base), view_weights(rescaled), rtol=1e-12
         )
 
     def test_zero_view_gets_negligible_weight(self):
@@ -79,7 +74,7 @@ class TestViewWeights:
         dense = np.stack([slice0, np.zeros_like(slice0)], axis=2)
         x = Tensor3.from_dense(dense)
         model = decompose(x, AlsConfig(rank=2, max_iters=200, tol=1e-10, seed=0))
-        w = view_weights(model).weights
+        w = view_weights(model)
         assert w[1].max() <= 1e-6 * w[0].max()
 
     def test_csv_format(self, tmp_path):
@@ -95,10 +90,6 @@ class TestViewWeights:
         assert lines[2] == "1,0.25,2.0"
         assert lines[3] == "2,0.125,4.0"
         assert len(lines) == 4
-
-    def test_table_is_plain_dataclass(self):
-        table = ViewWeightTable(num_views=1, num_dims=1, weights=np.ones((1, 1)))
-        assert [f.name for f in fields(table)] == ["num_views", "num_dims", "weights"]
 
 
 class TestDimensionCorrelation:

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfactor import build_knn_view
-from graphfactor.dataio import FeatureMatrix
 from graphfactor.errors import DataError
 from graphfactor.knn import load_directed_edge_list, save_knn_edge_list
 
 from oracles import oracle_knn_edges
 
 
-def feats(dense) -> FeatureMatrix:
-    return FeatureMatrix(matrix=sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+def feats(dense) -> sp.csr_matrix:
+    return sp.csr_matrix(np.asarray(dense, dtype=np.float64))
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -195,11 +194,10 @@ class TestMemoryBound:
             (rng.random(nnz), (rng.integers(n, size=nnz), rng.integers(500, size=nnz))),
             shape=(n, 500),
         ).tocsr()
-        f = FeatureMatrix(matrix=mat)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            build_knn_view(f, k=10)
+            build_knn_view(mat, k=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

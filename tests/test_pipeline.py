@@ -171,7 +171,8 @@ class TestRunPipeline:
 
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
         for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
-                    {"l2_strength": 0.0}, {"train_fractions": (1.0,)}):
+                    {"l2_strength": 0.0}, {"train_fractions": (1.0,)}, {"seed": -1},
+                    {"k": 2.0}):
             config = demo_config(demo_paths, **bad)
             with pytest.raises(ValueError):
                 run_pipeline(config, tmp_path / "run")

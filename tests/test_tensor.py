@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphfactor import (
     FactorModel,
@@ -14,9 +17,10 @@ from graphfactor import (
     reconstruct_view,
     stack_views,
 )
-from graphfactor.dataio import FeatureMatrix
 
 from oracles import khatri_rao, matricize, oracle_fit, oracle_mttkrp, oracle_reconstruct
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
 
 def random_model(rng, dims, rank):
@@ -28,10 +32,43 @@ def random_model(rng, dims, rank):
     )
 
 
+# Half-integers in [-3, 3]: the products and sums of a few of them are exact
+# in float64, so the kernels and the oracles get equal sums in any order.
+HALVES = st.integers(-6, 6).map(lambda v: v / 2)
+
+
+@st.composite
+def cp_cases(draw):
+    """A dense tensor and a model of its shape: (dense, A, B, C, scales).
+
+    Each mode has 1 to 4 entries and the rank runs to 5, so most draws
+    have a rank above some dimension. One slice along a drawn mode is all
+    zero, and about half of the other entries are.
+    """
+    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    rank = draw(st.integers(1, 5))
+    dense = draw(hnp.arrays(np.float64, dims, elements=st.one_of(st.just(0.0), HALVES)))
+    zero_mode = draw(st.integers(0, 2))
+    np.moveaxis(dense, zero_mode, 0)[draw(st.integers(0, dims[zero_mode] - 1))] = 0.0
+    a, b, c = (draw(hnp.arrays(np.float64, (n, rank), elements=HALVES)) for n in dims)
+    scales = draw(hnp.arrays(np.float64, rank, elements=st.integers(1, 6).map(lambda v: v / 2)))
+    return dense, a, b, c, scales
+
+
+# A 1 x 3 x 2 tensor at rank 4 whose second view is all zero.
+SMALL_CASE = (
+    np.array([[[1.0, 0.0], [0.0, 0.0], [-2.5, 0.0]]]),
+    np.array([[1.0, -0.5, 2.0, 0.0]]),
+    np.arange(12.0).reshape(3, 4) / 2 - 2,
+    np.array([[0.5, 1.0, -1.0, 3.0], [2.0, 0.0, 1.5, -0.5]]),
+    np.array([1.0, 0.5, 2.0, 1.5]),
+)
+
+
 class TestStackViews:
     def test_two_view_stack(self):
         g = Graph(num_nodes=4, edges=frozenset({(0, 1), (2, 3)}))
-        f = FeatureMatrix(matrix=sp.csr_matrix(np.eye(4)[:, :2] + 1.0))
+        f = sp.csr_matrix(np.eye(4)[:, :2] + 1.0)
         knn = build_knn_view(f, k=2)
         x = stack_views(g, knn)
         assert x.dims == (4, 4, 2)
@@ -78,6 +115,17 @@ class TestMttkrp:
                 f2 = rng.standard_normal((shapes[mode][1], rank))
                 got = mttkrp(x, f1, f2, mode)
                 assert np.abs(got - oracle_mttkrp(dense, f1, f2, mode)).max() <= 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(case=cp_cases())
+    @example(case=SMALL_CASE)
+    def test_every_mode_matches_oracle(self, case):
+        dense, a, b, c, _ = case
+        x = Tensor3.from_dense(dense)
+        for mode, (f1, f2) in enumerate([(b, c), (a, c), (a, b)]):
+            np.testing.assert_allclose(
+                mttkrp(x, f1, f2, mode), oracle_mttkrp(dense, f1, f2, mode), rtol=0, atol=1e-12
+            )
 
     def test_equals_unfolding_times_khatri_rao(self):
         rng = np.random.default_rng(77)
@@ -139,6 +187,19 @@ class TestFit:
             assert fit(x, m) == pytest.approx(
                 oracle_fit(dense, m.A, m.B, m.C, m.column_scales), abs=1e-10
             )
+
+    @PROPERTY_SETTINGS
+    @given(case=cp_cases())
+    @example(case=SMALL_CASE)
+    def test_matches_oracle(self, case):
+        dense, a, b, c, scales = case
+        x = Tensor3.from_dense(dense)
+        m = FactorModel(A=a, B=b, C=c, column_scales=scales)
+        if not dense.any():
+            with pytest.raises(ValueError):
+                fit(x, m)
+            return
+        assert fit(x, m) == pytest.approx(oracle_fit(dense, a, b, c, scales), abs=1e-12)
 
     def test_exact_model_fit_is_one(self):
         rng = np.random.default_rng(9)
