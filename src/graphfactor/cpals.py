@@ -5,7 +5,16 @@ first node mode, second node mode, view mode (Gauss-Seidel: every solve
 uses the freshest other factors), then renormalizes the node factors and
 pushes their column norms into per-component scales. Each sweep also
 records the new model's fit, taken from the view-mode MTTKRP and Gram
-products the view-factor solve has already formed.
+products the view-factor solve has already formed. The sparse slices are
+multiplied twice per view and sweep: once for the first node mode, and
+once for the second node mode and the view mode together
+(``tensor.slice_products``). The column norms come from the diagonals of
+the Gram matrices the sweep has formed.
+
+Each Gram solve multiplies by the inverse Gram matrix formed from its
+Cholesky factor, after a LAPACK estimate of its reciprocal condition
+number says the inverse is accurate; an ill-conditioned or singular Gram
+takes the pseudoinverse instead and is counted.
 
 ``decompose`` sets every loaded OpenBLAS to one thread while it runs and
 restores the previous counts when it returns, so its factors do not
@@ -23,11 +32,12 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
 from .dataio import load_json, load_matrix, parse_records, read_records, save_json, save_matrix
 from .errors import DataError, NumericalError
-from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp
+from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp, mttkrp_from_products, slice_products
 
 __all__ = [
     "AlsConfig",
@@ -40,6 +50,14 @@ __all__ = [
 ]
 
 INIT_CHOICES = ("uniform", "normal")
+
+# A Gram solve whose estimated reciprocal condition number (1-norm, LAPACK
+# dpocon) is at or below this takes the pseudoinverse. Measured at seed 1,
+# the smallest estimate on the benchmark workloads is 9.5e-6 (webkb-r128,
+# first node mode), 2.8e-5 (citeseer-prune) and 6.1e-4 (stagewise-8k); the
+# Gram of two duplicate components estimates 4.9e-17. At the threshold the
+# solve's relative error bound, about eps / rcond, is 2e-6.
+_RCOND_MIN = 1e-10
 
 
 @dataclass
@@ -71,10 +89,12 @@ class FactorModel:
 
     Reconstruction of view l is sum_r column_scales[r] * C[l, r] *
     outer(A[:, r], B[:, r]). Treat instances as immutable once returned
-    by the solver. ``gram_fallbacks`` counts the Gram solves that fell
-    back from Cholesky to the pseudoinverse; ``blas_threads`` is the BLAS
-    thread count ``decompose`` ran with (None when it found no OpenBLAS
-    to pin). Neither is saved by ``save_model``.
+    by the solver. ``gram_fallbacks`` counts the Gram solves that took
+    the pseudoinverse: the Gram had no Cholesky factor, its estimated
+    reciprocal condition number was at or below ``_RCOND_MIN``, or the
+    inverse gave a non-finite result. ``blas_threads`` is the BLAS thread
+    count ``decompose`` ran with (None when it found no OpenBLAS to pin).
+    Neither is saved by ``save_model``.
     """
 
     A: np.ndarray
@@ -93,8 +113,10 @@ class FactorModel:
 
     def normalized(self) -> "FactorModel":
         """Absorb the node-factor column norms into column_scales."""
-        a_norms = np.linalg.norm(self.A, axis=0)
-        b_norms = np.linalg.norm(self.B, axis=0)
+        return self._absorb_norms(np.linalg.norm(self.A, axis=0), np.linalg.norm(self.B, axis=0))
+
+    def _absorb_norms(self, a_norms, b_norms) -> "FactorModel":
+        """``normalized`` with the column norms of A and B given."""
         a_div = np.where(a_norms > 0, a_norms, 1.0)
         b_div = np.where(b_norms > 0, b_norms, 1.0)
         return dataclasses.replace(
@@ -127,17 +149,27 @@ def init_factors(dims, config: AlsConfig) -> FactorModel:
 def _solve_gram(rhs: np.ndarray, gram: np.ndarray) -> tuple:
     """Solve factor @ gram = rhs for a symmetric PSD gram matrix.
 
-    Cholesky on the fast path; rank-deficient grams fall back to the
-    pseudoinverse of a trace-scaled ridge regularization. Returns the
-    solution and whether it fell back.
+    The fast path factors the gram by Cholesky, estimates its reciprocal
+    condition number from the factor (LAPACK dpocon), and when that is
+    above ``_RCOND_MIN`` returns rhs @ inv(gram) with the inverse formed
+    from the factor (dpotri): one matrix product in place of two
+    triangular solves. A gram with no Cholesky factor or a condition
+    estimate at or below the threshold, or a non-finite result, falls
+    back to the pseudoinverse of a trace-scaled ridge regularization.
+    Returns the solution and whether it fell back.
     """
     try:
-        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        out = scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
-        if np.all(np.isfinite(out)):
-            return out, False
+        chol, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
-        pass
+        chol = None
+    if chol is not None:
+        rcond, info = lapack.dpocon(chol, np.linalg.norm(gram, 1), uplo="L")
+        if info == 0 and rcond > _RCOND_MIN:
+            # dpotri fills the lower triangle only
+            lower, info = lapack.dpotri(chol, lower=1)
+            out = rhs @ (np.tril(lower) + np.tril(lower, -1).T)
+            if info == 0 and np.all(np.isfinite(out)):
+                return out, False
     ridge = 1e-12 * np.trace(gram)
     regularized = gram + ridge * np.eye(gram.shape[0])
     return rhs @ np.linalg.pinv(regularized), True
@@ -147,10 +179,10 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
     """One full sweep over the three factors.
 
     The view factor keeps the solved magnitudes; the node factors come
-    back with unit-norm columns and their norms pushed into
-    column_scales. The new model's fit is appended to fit_history, and
-    the sweep's Cholesky-to-pinv fallbacks are added to gram_fallbacks.
-    Never raises on singular grams.
+    back with unit-norm columns and their norms, read off the diagonals
+    of the sweep's Gram matrices, pushed into column_scales. The new
+    model's fit is appended to fit_history, and the sweep's pseudoinverse
+    fallbacks are added to gram_fallbacks. Never raises on singular grams.
     """
     weighted_c = model.C * model.column_scales
     c_gram = weighted_c.T @ weighted_c
@@ -159,9 +191,11 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
         mttkrp(x, model.B, weighted_c, 0), (model.B.T @ model.B) * c_gram
     )
     a_gram = a_raw.T @ a_raw
-    b_raw, b_fell = _solve_gram(mttkrp(x, a_raw, weighted_c, 1), a_gram * c_gram)
-    ab_gram = a_gram * (b_raw.T @ b_raw)
-    m_view = mttkrp(x, a_raw, b_raw, 2)
+    products = slice_products(x, a_raw)
+    b_raw, b_fell = _solve_gram(mttkrp_from_products(products, weighted_c, 1), a_gram * c_gram)
+    b_gram = b_raw.T @ b_raw
+    ab_gram = a_gram * b_gram
+    m_view = mttkrp_from_products(products, b_raw, 2)
     c_raw, c_fell = _solve_gram(m_view, ab_gram)
 
     fit_history = [*model.fit_history, fit_from_view_mttkrp(x, m_view, ab_gram, c_raw)]
@@ -175,7 +209,7 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
         iterations=len(fit_history),
         gram_fallbacks=model.gram_fallbacks + a_fell + b_fell + c_fell,
     )
-    return updated.normalized()
+    return updated._absorb_norms(np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram)))
 
 
 def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
@@ -183,11 +217,14 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
 
     Non-convergence within max_iters is not an error; the returned model
     carries a converged flag and the full per-iteration fit history.
-    The history comes from the expanded fit identity (``tensor.fit``), so
-    near an exact fit it is only accurate to about sqrt(eps): it can drop
-    by a few times 1e-8 between sweeps, and a tol below that level may
-    not stop the sweeps early. Every loaded OpenBLAS runs on one thread
-    until this returns.
+    The history comes from the expanded fit identity
+    (``tensor.fit_from_view_mttkrp``): a residual within that identity's
+    rounding error reads as a fit of exactly 1, and just above it the fit
+    is accurate to about 2 eps / (1 - fit), so a tol below about 1e-8
+    may not stop the sweeps early. ``gram_fallbacks`` counts the solves
+    whose Gram was too ill-conditioned for the inverse (see
+    ``_solve_gram``). Every loaded OpenBLAS runs on one thread until this
+    returns.
     """
     config.validate()
     if x.nnz == 0:

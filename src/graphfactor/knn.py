@@ -95,9 +95,11 @@ def _select_block(neg: np.ndarray, k: int):
     return np.divmod(flat, n)
 
 
-def build_knn_view(features: sp.csr_matrix, k: int,
-                   block_rows: int | None = None) -> KnnView:
+def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
     """Cosine similarity followed by per-row top-k selection.
+
+    ``features`` is a node-by-feature matrix, a 2-D ndarray or any scipy
+    sparse matrix or array; it is converted to CSR once.
 
     The similarity matrix is computed ``block_rows`` rows at a time, so
     only a block of the dense V x V matrix is held at once. ``None``
@@ -111,6 +113,10 @@ def build_knn_view(features: sp.csr_matrix, k: int,
     [0, 1]), so parallel rows can rank by rounding; see the module
     docstring.
     """
+    if not (sp.issparse(features) or isinstance(features, np.ndarray)) or features.ndim != 2:
+        raise ValueError("features must be a 2-D ndarray or scipy sparse matrix, got "
+                         f"{type(features).__name__} of shape {getattr(features, 'shape', None)}")
+    features = sp.csr_matrix(features)
     n = features.shape[0]
     if n < 2:
         raise ValueError("need at least 2 nodes to build a proximity view")

@@ -18,7 +18,15 @@ import scipy.sparse as sp
 from .dataio import Graph
 from .knn import KnnView
 
-__all__ = ["Tensor3", "stack_views", "mttkrp", "reconstruct_view", "fit"]
+__all__ = [
+    "Tensor3",
+    "stack_views",
+    "mttkrp",
+    "slice_products",
+    "mttkrp_from_products",
+    "reconstruct_view",
+    "fit",
+]
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,7 @@ def mttkrp(x: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     ascending mode order; the result equals the mode-``mode``
     matricization times the Khatri-Rao product (f2 column-wise-Kron f1),
     computed from the sparse slices without forming either product.
+    Modes 1 and 2 both start from ``slice_products(x, f1)``.
     """
     if mode not in (0, 1, 2):
         raise ValueError(f"mode must be 0, 1, or 2, got {mode}")
@@ -120,15 +129,43 @@ def mttkrp(x: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
         for l, s in enumerate(x.slices):
             out += (s @ f1) * f2[l]
         return out
+    return mttkrp_from_products(slice_products(x, f1), f2, mode)
+
+
+def slice_products(x: Tensor3, f1: np.ndarray) -> tuple:
+    """The J x R products S_l^T f1 of every view slice S_l with a factor of
+    the first node mode.
+
+    They are the sparse work of both the second-node-mode and the view-mode
+    MTTKRP of ``f1``; ``mttkrp_from_products`` finishes either one, so an
+    ALS sweep that solves the second node factor and then the view factor
+    multiplies each slice once for the two.
+    """
+    i_dim = x.dims[0]
+    f1 = np.asarray(f1, dtype=np.float64)
+    _check_factor("f1", f1, i_dim, None)
+    return tuple(s.T @ f1 for s in x.slices)
+
+
+def mttkrp_from_products(products, f2: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-1 or mode-2 MTTKRP from ``slice_products(x, f1)``.
+
+    Equal to ``mttkrp(x, f1, f2, mode)``: ``f2`` is the view factor for
+    mode 1 (the result is sum_l products[l] * f2[l]) and the second node
+    factor for mode 2 (row l of the result is the column sums of
+    f2 * products[l]).
+    """
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    j_dim, rank = products[0].shape
+    f2 = np.asarray(f2, dtype=np.float64)
+    _check_factor("f2", f2, len(products) if mode == 1 else j_dim, rank)
     if mode == 1:
         out = np.zeros((j_dim, rank))
-        for l, s in enumerate(x.slices):
-            out += (s.T @ f1) * f2[l]
+        for l, p in enumerate(products):
+            out += p * f2[l]
         return out
-    out = np.zeros((l_dim, rank))
-    for l, s in enumerate(x.slices):
-        out[l] = np.einsum("ir,ir->r", f1, s @ f2)
-    return out
+    return np.array([np.einsum("jr,jr->r", f2, p) for p in products])
 
 
 def reconstruct_view(model, view: int) -> np.ndarray:
@@ -145,9 +182,8 @@ def fit(x: Tensor3, model) -> float:
 
     Uses the expanded residual-norm identity so the dense reconstruction
     is never materialized; 1.0 means an exact fit. The identity's terms
-    cancel as the residual shrinks: the fit's error is about
-    eps / (2 * (1 - fit)), so near an exact fit it is only accurate to
-    about sqrt(eps), a few times 1e-8.
+    cancel as the residual shrinks, so a residual below their rounding
+    error reads as an exact fit; see ``fit_from_view_mttkrp``.
     """
     i_dim, j_dim, l_dim = x.dims
     _check_factor("A", model.A, i_dim, None)
@@ -165,14 +201,21 @@ def fit_from_view_mttkrp(x: Tensor3, m_view, ab_gram, weighted_c) -> float:
     ``ab_gram`` is (A^T A) * (B^T B), and ``weighted_c`` is the view
     factor with the component scales multiplied in. Then <X, X_hat> =
     sum(m_view * weighted_c) and ||X_hat||^2 = sum(ab_gram * (weighted_c^T
-    weighted_c)) (Kolda & Bader, SIAM Review 2009, section 3.4). Like
-    ``fit``, the result is only accurate to about sqrt(eps) near an
-    exact fit, where ||X||^2 - 2 <X, X_hat> + ||X_hat||^2 cancels.
+    weighted_c)) (Kolda & Bader, SIAM Review 2009, section 3.4).
+
+    The squared residual ||X||^2 - 2 <X, X_hat> + ||X_hat||^2 cancels as
+    the fit nears 1. A value at or below its own rounding bound, eps *
+    (||X||^2 + 2 |<X, X_hat>| + ||X_hat||^2), is noise and reads as 0, so
+    a model whose residual is below about sqrt(4 eps) ~ 3e-8 of ||X|| gets
+    a fit of exactly 1. Above that floor the fit's error is at most about
+    2 eps / (1 - fit).
     """
     norm_x_sq = x.norm_sq()
     if norm_x_sq == 0.0:
         raise ValueError("tensor has zero norm; fit is undefined")
     inner = float(np.sum(m_view * weighted_c))
     est_sq = float(np.sum(ab_gram * (weighted_c.T @ weighted_c)))
-    resid_sq = max(norm_x_sq - 2.0 * inner + est_sq, 0.0)
+    resid_sq = norm_x_sq - 2.0 * inner + est_sq
+    if resid_sq <= np.finfo(np.float64).eps * (norm_x_sq + 2.0 * abs(inner) + est_sq):
+        resid_sq = 0.0
     return 1.0 - np.sqrt(resid_sq) / np.sqrt(norm_x_sq)

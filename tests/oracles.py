@@ -119,8 +119,8 @@ def oracle_cosine(dense_features: np.ndarray) -> np.ndarray:
 
 def oracle_knn_edges(dense_features: np.ndarray, k: int):
     """Per-row brute-force selection: best k strictly positive
-    similarities, ties toward the lower index."""
-    sim = oracle_cosine(dense_features)
+    similarities, clipped to [0, 1], ties toward the lower index."""
+    sim = np.clip(oracle_cosine(dense_features), 0.0, 1.0)
     n = sim.shape[0]
     edges = []
     for i in range(n):

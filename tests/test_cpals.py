@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import graphfactor.cpals
 from graphfactor import (
@@ -20,10 +21,12 @@ from graphfactor import (
     fit,
     init_factors,
     load_model,
+    mttkrp,
     reconstruct_view,
     save_model,
 )
 from graphfactor._blas import openblas_thread_controls
+from graphfactor.cpals import _solve_gram
 from graphfactor.errors import DataError, NumericalError, ParseError
 
 from oracles import oracle_als, oracle_als_sweep
@@ -129,6 +132,23 @@ class TestAlsStep:
         out = als_step(x, m)
         assert np.all(np.isfinite(out.A))
         assert np.all(np.isfinite(out.column_scales))
+        # rounding leaves the first Gram's last Cholesky pivot at ~1.5e-8,
+        # so only the condition estimate sends that solve to pinv
+        gram = (m.B.T @ m.B) * (m.C.T @ m.C)
+        scipy.linalg.cho_factor(gram, lower=True)  # factors without an error
+        assert _solve_gram(mttkrp(x, m.B, m.C, 0), gram)[1]
+        assert out.gram_fallbacks >= 1
+
+    def test_inverse_gram_solve_matches_cho_solve(self):
+        rng = np.random.default_rng(16)
+        for rank, rows in ((3, 7), (16, 40), (64, 300)):
+            factor = rng.standard_normal((rows, rank))
+            gram = factor.T @ factor
+            rhs = rng.standard_normal((rows, rank))
+            got, fell = _solve_gram(rhs, gram)
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), rhs.T).T
+            assert not fell
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_gram_fallbacks_are_counted(self):
         rng = np.random.default_rng(3)

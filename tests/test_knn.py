@@ -136,19 +136,34 @@ class TestBlockedPath:
             build_knn_view(feats([[1.0], [1.0]]), k=1, block_rows=0)
 
 
+class TestInputTypes:
+    DENSE = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0], [3.0, 0.5], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("convert", [np.asarray, sp.coo_matrix, sp.csc_matrix, sp.csr_array])
+    def test_dense_and_any_sparse_format_match_csr(self, convert):
+        want = build_knn_view(feats(self.DENSE), k=2)
+        got = build_knn_view(convert(self.DENSE), k=2)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("bad", [DENSE[0], [[1.0, 0.0], [0.0, 1.0]], None,
+                                     np.ones((2, 2, 2))])
+    def test_other_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="2-D"):
+            build_knn_view(bad, k=1)
+
+
 @st.composite
 def tie_heavy_features(draw):
     """Small binary or count features whose rows are copies, power-of-two
     multiples or zero rows of a few base rows, so that many rows hold more
     than k similarities equal to their k-th one; with k.
 
-    Counts are 0, 1, 2 or 4, so parallel rows differ by a power of two and
-    share their cosines bit for bit. At a ratio like 3 the cosines of equal
-    directions round to 1 +- 1 ulp, and the builder's clip at 1 would tie
-    what the unclipped oracle orders.
+    Counts run 0 to 4. With a count of 3 the cosines of parallel rows can
+    round to 1 + 1 ulp, which the builder and the oracle both clip to 1.
     """
     num_features = draw(st.integers(1, 5))
-    values = st.sampled_from(draw(st.sampled_from([[0, 1], [0, 1, 2, 4]])))
+    values = st.sampled_from(draw(st.sampled_from([[0, 1], [0, 1, 2, 3, 4]])))
     base = st.lists(values, min_size=num_features, max_size=num_features)
     bases = np.array(draw(st.lists(base, min_size=1, max_size=4)), dtype=np.float64)
     n = draw(st.integers(2, 16))

@@ -17,6 +17,7 @@ from graphfactor import (
     reconstruct_view,
     stack_views,
 )
+from graphfactor.tensor import mttkrp_from_products, slice_products
 
 from oracles import khatri_rao, matricize, oracle_fit, oracle_mttkrp, oracle_reconstruct
 
@@ -127,6 +128,31 @@ class TestMttkrp:
                 mttkrp(x, f1, f2, mode), oracle_mttkrp(dense, f1, f2, mode), rtol=0, atol=1e-12
             )
 
+    @PROPERTY_SETTINGS
+    @given(case=cp_cases())
+    @example(case=SMALL_CASE)
+    def test_slice_products_give_mode1_and_view_mode(self, case):
+        dense, a, b, c, _ = case
+        products = slice_products(Tensor3.from_dense(dense), a)
+        for mode, f2 in ((1, c), (2, b)):
+            np.testing.assert_allclose(
+                mttkrp_from_products(products, f2, mode), oracle_mttkrp(dense, a, f2, mode),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_products_validation(self):
+        x = Tensor3.from_dense(np.ones((3, 4, 2)))
+        products = slice_products(x, np.ones((3, 2)))
+        assert [p.shape for p in products] == [(4, 2), (4, 2)]
+        with pytest.raises(ValueError):
+            slice_products(x, np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            mttkrp_from_products(products, np.ones((2, 2)), 0)
+        with pytest.raises(ValueError):
+            mttkrp_from_products(products, np.ones((3, 2)), 1)
+        with pytest.raises(ValueError):
+            mttkrp_from_products(products, np.ones((4, 3)), 2)
+
     def test_equals_unfolding_times_khatri_rao(self):
         rng = np.random.default_rng(77)
         dense = rng.random((5, 6, 2))
@@ -206,6 +232,23 @@ class TestFit:
         m = random_model(rng, (4, 4, 2), rank=2)
         dense = oracle_reconstruct(m.A, m.B, m.C, m.column_scales)
         assert fit(Tensor3.from_dense(dense), m) == pytest.approx(1.0, abs=1e-12)
+
+    def test_resolvable_residual_is_not_rounded_to_exact(self):
+        # The exact-fit floor only swallows rounding noise. Residuals of
+        # 2e-6 to 1e-1 of the tensor's norm keep the oracle's fit: within
+        # 1e-12 from 1e-3 up, and within the identity's error, about
+        # 2 eps / (1 - fit), below that (1e-10 at 1 - fit = 2e-6).
+        rng = np.random.default_rng(11)
+        eps = np.finfo(np.float64).eps
+        for level in (2e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+            m = random_model(rng, (6, 5, 2), rank=3)
+            exact = oracle_reconstruct(m.A, m.B, m.C, m.column_scales)
+            noise = rng.standard_normal(exact.shape)
+            dense = exact + noise * (level * np.linalg.norm(exact) / np.linalg.norm(noise))
+            want = oracle_fit(dense, m.A, m.B, m.C, m.column_scales)
+            assert want <= 1.0 - 1e-6
+            tol = 1e-12 if level >= 1e-3 else 4 * eps / (1.0 - want)
+            assert fit(Tensor3.from_dense(dense), m) == pytest.approx(want, abs=tol)
 
     def test_zero_tensor_rejected(self):
         x = Tensor3.from_dense(np.zeros((3, 3, 2)))
