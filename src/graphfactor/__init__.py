@@ -43,7 +43,7 @@ from .interpret import (
 )
 from .knn import KnnView, build_knn_view
 from .pipeline import PipelineConfig, run_pipeline, sweep
-from .tensor import Tensor3, fit, mttkrp, reconstruct_view, stack_views
+from .tensor import Tensor3, mttkrp, reconstruct_view, stack_views
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "dimension_correlation",
     "evaluate",
     "extract_embeddings",
-    "fit",
     "init_factors",
     "load_edge_list",
     "load_features",

@@ -63,7 +63,7 @@ def prune_dimensions(
     Surviving columns keep their original order. Pruning an
     already-pruned embedding with the same threshold is a no-op.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     weights = dimension_weights(model)
     removed = [r for r in range(model.rank) if weights[r] < threshold]

@@ -12,6 +12,7 @@ copy node 1 (0.9999999999999998).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -120,8 +121,8 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
     n = features.shape[0]
     if n < 2:
         raise ValueError("need at least 2 nodes to build a proximity view")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not isinstance(k, Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     if block_rows is None:

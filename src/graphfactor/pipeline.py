@@ -15,9 +15,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
+
+import numpy as np
 
 from .cpals import AlsConfig, decompose, save_model
 from .dataio import (
@@ -29,7 +32,7 @@ from .dataio import (
     save_matrix,
     sha256_file,
 )
-from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
+from .embedding import EMBEDDING_SOURCES, extract_embeddings
 from .errors import DataError, PipelineError
 from .evaluate import EvalConfig, evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
@@ -102,7 +105,7 @@ class PipelineConfig:
             self.eval_config(frac).validate()
         if len(set(self.train_fractions)) != len(self.train_fractions):
             raise ValueError("train_fractions contains duplicates")
-        if self.prune_threshold is not None and self.prune_threshold < 0:
+        if self.prune_threshold is not None and not self.prune_threshold >= 0:
             raise ValueError(f"prune threshold must be >= 0, got {self.prune_threshold}")
         if self.embedding_source not in EMBEDDING_SOURCES:
             raise ValueError(
@@ -172,156 +175,126 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         "status": "running",
     }
 
-    def write_manifest() -> None:
-        save_json(manifest, run_dir / "manifest.json")
+    @contextmanager
+    def stage(name: str):
+        """Yield the stage's details dict; record it in the manifest on
+        success, or write FAILED and the failed manifest and raise."""
+        details: dict = {}
+        try:
+            yield details
+        except Exception as exc:
+            (run_dir / "FAILED").write_text(
+                f"stage: {name}\ncause: {exc}\n", encoding="utf-8"
+            )
+            manifest["status"] = "failed"
+            manifest["failed_stage"] = name
+            manifest["failure_cause"] = str(exc)
+            save_json(manifest, run_dir / "manifest.json")
+            raise PipelineError(name, exc) from exc
+        manifest["stages"].append({"name": name, **details})
 
-    def fail(stage: str, exc: Exception):
-        (run_dir / "FAILED").write_text(
-            f"stage: {stage}\ncause: {exc}\n", encoding="utf-8"
-        )
-        manifest["status"] = "failed"
-        manifest["failed_stage"] = stage
-        manifest["failure_cause"] = str(exc)
-        write_manifest()
-        raise PipelineError(stage, exc) from exc
+    def record_input(key: str, path) -> None:
+        manifest["inputs"][key] = {"path": str(path), "sha256": sha256_file(path)}
 
-    state: dict = {}
-
-    def stage_build_knn() -> dict:
+    with stage("build-knn") as details:
+        knn = None
         if not config.use_knn_view:
-            return {"skipped": True, "reason": "K-NN view disabled by config"}
-        manifest["inputs"]["features"] = {
-            "path": str(config.features),
-            "sha256": sha256_file(config.features),
-        }
-        features = load_features(config.features)
-        view = build_knn_view(features, config.k)
-        save_knn_edge_list(view, run_dir / "knn_edges.txt")
-        state["knn"] = view
-        return {
-            "k": config.k,
-            "num_nodes": view.num_nodes,
-            "directed_edges": view.directed_edge_count,
-            "deficient_nodes": len(view.deficient_nodes()),
-            "output": "knn_edges.txt",
-        }
+            details.update(skipped=True, reason="K-NN view disabled by config")
+        else:
+            record_input("features", config.features)
+            knn = build_knn_view(load_features(config.features), config.k)
+            save_knn_edge_list(knn, run_dir / "knn_edges.txt")
+            details.update(
+                k=config.k,
+                num_nodes=knn.num_nodes,
+                directed_edges=knn.directed_edge_count,
+                deficient_nodes=len(knn.deficient_nodes()),
+                output="knn_edges.txt",
+            )
 
-    def stage_stack() -> dict:
-        manifest["inputs"]["edges"] = {
-            "path": str(config.edges),
-            "sha256": sha256_file(config.edges),
-        }
+    with stage("stack") as details:
+        record_input("edges", config.edges)
         graph = load_edge_list(config.edges)
-        tensor = stack_views(graph, state.get("knn"))
-        state["tensor"] = tensor
+        tensor = stack_views(graph, knn)
         num_nodes, _, l_dim = tensor.dims
-        state["num_nodes"] = num_nodes
-        return {
-            "num_nodes": num_nodes,
-            "views": l_dim,
-            "nnz": tensor.nnz,
-            "undirected_edges": graph.num_edges,
-            "self_loops_dropped": graph.self_loops_dropped,
-        }
+        details.update(
+            num_nodes=num_nodes,
+            views=l_dim,
+            nnz=tensor.nnz,
+            undirected_edges=graph.num_edges,
+            self_loops_dropped=graph.self_loops_dropped,
+        )
 
-    def stage_decompose() -> dict:
+    with stage("decompose") as details:
         als_config = config.als_config()
-        model = decompose(state["tensor"], als_config)
+        model = decompose(tensor, als_config)
         save_model(model, run_dir / "model", als_config)
-        state["model"] = model
-        return {
-            "rank": model.rank,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "final_fit": float(model.fit_history[-1]),
-            "fit_history": [float(v) for v in model.fit_history],
-            "gram_fallbacks": model.gram_fallbacks,
-            "blas_threads": model.blas_threads,
-            "output": "model",
-        }
+        details.update(
+            rank=model.rank,
+            iterations=model.iterations,
+            converged=model.converged,
+            final_fit=float(model.fit_history[-1]),
+            fit_history=[float(v) for v in model.fit_history],
+            gram_fallbacks=model.gram_fallbacks,
+            blas_threads=model.blas_threads,
+            output="model",
+        )
 
-    def stage_embed() -> dict:
-        emb = extract_embeddings(state["model"], config.embedding_source)
+    with stage("embed") as details:
+        emb = extract_embeddings(model, config.embedding_source)
         save_matrix(emb, run_dir / "embeddings.txt")
-        state["emb"] = emb
-        return {
-            "source": config.embedding_source,
-            "num_nodes": emb.shape[0],
-            "dim": emb.shape[1],
-            "output": "embeddings.txt",
-        }
+        details.update(
+            source=config.embedding_source,
+            num_nodes=emb.shape[0],
+            dim=emb.shape[1],
+            output="embeddings.txt",
+        )
 
-    def stage_evaluate() -> dict:
+    with stage("evaluate") as details:
         if config.labels is None:
             raise DataError(
                 "no labels file configured; the evaluate stage requires labels"
             )
-        manifest["inputs"]["labels"] = {
-            "path": str(config.labels),
-            "sha256": sha256_file(config.labels),
-        }
-        labels = load_labels(config.labels, num_nodes=state["num_nodes"])
-        state["labels"] = labels
+        record_input("labels", config.labels)
+        labels = load_labels(config.labels, num_nodes=num_nodes)
         reports = []
         outputs = []
         for fraction in config.train_fractions:
-            report = evaluate(state["emb"], labels, config.eval_config(fraction))
+            report = evaluate(emb, labels, config.eval_config(fraction))
             name = f"eval_train_{_fraction_tag(fraction)}.json"
             save_json(report.to_dict(), run_dir / name)
             reports.append(report)
             outputs.append(name)
-        state["first_report"] = reports[0]
-        return {"reports": [r.to_dict() for r in reports], "outputs": outputs}
+        details.update(reports=[r.to_dict() for r in reports], outputs=outputs)
 
-    def stage_interpret() -> dict:
-        model = state["model"]
+    with stage("interpret") as details:
         write_weights_csv(view_weights(model), run_dir / "weights.csv")
-        details: dict = {"weights_csv": "weights.csv"}
+        details["weights_csv"] = "weights.csv"
         if config.prune_threshold is not None:
             # The source-A embedding was already scored at the first train
             # fraction by the evaluate stage; other sources score it here.
             before = None
             if config.embedding_source == "A":
-                emb_a = state["emb"]
-                before = state["first_report"]
+                emb_a = emb
+                before = reports[0]
             else:
                 emb_a = extract_embeddings(model, "A")
             report = pruning_report(
                 model,
                 emb_a,
-                state["labels"],
+                labels,
                 config.prune_threshold,
                 config.eval_config(config.train_fractions[0]),
                 before=before,
             )
             save_json(report, run_dir / "pruning_report.json")
-            pruned_emb, _removed = prune_dimensions(
-                emb_a, model, config.prune_threshold
-            )
+            pruned_emb = np.delete(emb_a, report["removed_dimensions"], axis=1)
             save_matrix(pruned_emb, run_dir / "embeddings_pruned.txt")
             details["pruning_report"] = report
             details["pruned_embeddings"] = "embeddings_pruned.txt"
-        return details
-
-    stage_fns = {
-        "build-knn": stage_build_knn,
-        "stack": stage_stack,
-        "decompose": stage_decompose,
-        "embed": stage_embed,
-        "evaluate": stage_evaluate,
-        "interpret": stage_interpret,
-    }
-    for name in STAGE_NAMES:
-        try:
-            details = stage_fns[name]()
-        except PipelineError:
-            raise
-        except Exception as exc:
-            fail(name, exc)
-        manifest["stages"].append({"name": name, **details})
 
     manifest["status"] = "ok"
-    write_manifest()
+    save_json(manifest, run_dir / "manifest.json")
     return run_dir
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "slice_products",
     "mttkrp_from_products",
     "reconstruct_view",
-    "fit",
 ]
 
 
@@ -48,11 +47,8 @@ class Tensor3:
     def nnz(self) -> int:
         return sum(s.nnz for s in self.slices)
 
-    def norm_sq(self) -> float:
-        return self._norm_sq
-
     @cached_property
-    def _norm_sq(self) -> float:
+    def norm_sq(self) -> float:
         return float(sum(s.multiply(s).sum() for s in self.slices))
 
     @classmethod
@@ -177,23 +173,6 @@ def reconstruct_view(model, view: int) -> np.ndarray:
     return (model.A * coef) @ model.B.T
 
 
-def fit(x: Tensor3, model) -> float:
-    """1 minus the relative Frobenius residual of the CP reconstruction.
-
-    Uses the expanded residual-norm identity so the dense reconstruction
-    is never materialized; 1.0 means an exact fit. The identity's terms
-    cancel as the residual shrinks, so a residual below their rounding
-    error reads as an exact fit; see ``fit_from_view_mttkrp``.
-    """
-    i_dim, j_dim, l_dim = x.dims
-    _check_factor("A", model.A, i_dim, None)
-    _check_factor("B", model.B, j_dim, model.A.shape[1])
-    _check_factor("C", model.C, l_dim, model.A.shape[1])
-    weighted_c = model.C * model.column_scales
-    ab_gram = (model.A.T @ model.A) * (model.B.T @ model.B)
-    return fit_from_view_mttkrp(x, mttkrp(x, model.A, model.B, 2), ab_gram, weighted_c)
-
-
 def fit_from_view_mttkrp(x: Tensor3, m_view, ab_gram, weighted_c) -> float:
     """The fit of a model from pieces an ALS sweep already holds.
 
@@ -210,7 +189,7 @@ def fit_from_view_mttkrp(x: Tensor3, m_view, ab_gram, weighted_c) -> float:
     a fit of exactly 1. Above that floor the fit's error is at most about
     2 eps / (1 - fit).
     """
-    norm_x_sq = x.norm_sq()
+    norm_x_sq = x.norm_sq
     if norm_x_sq == 0.0:
         raise ValueError("tensor has zero norm; fit is undefined")
     inner = float(np.sum(m_view * weighted_c))

@@ -18,7 +18,6 @@ from graphfactor import (
     Tensor3,
     als_step,
     decompose,
-    fit,
     init_factors,
     load_model,
     mttkrp,
@@ -29,7 +28,7 @@ from graphfactor._blas import openblas_thread_controls
 from graphfactor.cpals import _solve_gram
 from graphfactor.errors import DataError, NumericalError, ParseError
 
-from oracles import oracle_als, oracle_als_sweep
+from oracles import oracle_als, oracle_als_sweep, oracle_fit
 from synthdata import WEBKB_SHAPED, planted_dataset, write_dataset
 
 
@@ -37,6 +36,10 @@ def random_tensor(rng, dims, density=0.6):
     dense = rng.random(dims) * (rng.random(dims) < density)
     dense[0, 0, 0] = max(dense[0, 0, 0], 0.5)  # keep the tensor nonzero
     return dense
+
+
+def dense_fit(dense, m):
+    return oracle_fit(dense, m.A, m.B, m.C, m.column_scales)
 
 
 def zeroed_component_model(rng, i_dim, j_dim, l_dim):
@@ -109,10 +112,10 @@ class TestAlsStep:
         dense = random_tensor(rng, (7, 6, 2))
         x = Tensor3.from_dense(dense)
         m = init_factors((7, 6, 2), AlsConfig(rank=3, seed=3))
-        prev = fit(x, m)
+        prev = dense_fit(dense, m)
         for _ in range(20):
             m = als_step(x, m)
-            current = fit(x, m)
+            current = dense_fit(dense, m)
             assert current >= prev - 1e-12
             prev = current
 
@@ -242,14 +245,15 @@ class TestDecompose:
             x = Tensor3.from_dense(dense)
             m = decompose(x, config)
             assert m.gram_fallbacks == 0
-            assert abs(m.fit_history[-1] - fit(x, m)) <= 1e-12
+            assert abs(m.fit_history[-1] - dense_fit(dense, m)) <= 1e-12
             assert np.all(np.diff(m.fit_history) >= -1e-12)
 
-        x = Tensor3.from_dense(random_tensor(rng, (7, 6, 2)))
+        dense = random_tensor(rng, (7, 6, 2))
+        x = Tensor3.from_dense(dense)
         m = zeroed_component_model(rng, 7, 6, 2)
         for _ in range(10):
             m = als_step(x, m)
-            assert abs(m.fit_history[-1] - fit(x, m)) <= 1e-12
+            assert abs(m.fit_history[-1] - dense_fit(dense, m)) <= 1e-12
         assert m.gram_fallbacks == 30
         assert np.all(np.diff(m.fit_history) >= -1e-12)
 

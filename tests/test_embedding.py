@@ -156,5 +156,6 @@ class TestPruneDimensions:
     def test_negative_threshold_rejected(self):
         rng = np.random.default_rng(9)
         m = model_from(unit_cols(rng, 4, 2), unit_cols(rng, 4, 2), rng.random((2, 2)), np.ones(2))
-        with pytest.raises(ValueError):
-            prune_dimensions(extract_embeddings(m), m, -0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                prune_dimensions(extract_embeddings(m), m, bad)

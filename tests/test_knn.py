@@ -95,6 +95,9 @@ class TestTopKSelect:
             build_knn_view(f, k=5)
         with pytest.raises(ValueError):
             build_knn_view(f, k=5, block_rows=2)
+        for k in (2.5, np.float64(2.0)):
+            with pytest.raises(ValueError):
+                build_knn_view(f, k=k)
 
     def test_out_degree_capped_at_k(self):
         rng = np.random.default_rng(2)

@@ -1,12 +1,14 @@
 """Tests for the six-stage run pipeline, the parameter sweep, and the CLI."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphfactor.cli
+import graphfactor.embedding
 import graphfactor.interpret
 import graphfactor.pipeline
 from graphfactor import (
@@ -22,7 +24,7 @@ from graphfactor import (
     sweep,
 )
 from graphfactor.cli import main
-from graphfactor.dataio import sha256_file
+from graphfactor.dataio import load_matrix, sha256_file
 from graphfactor.pipeline import STAGE_NAMES, default_run_root
 from synthdata import DEMO30, planted_dataset, write_dataset
 
@@ -150,6 +152,28 @@ class TestRunPipeline:
         # earlier stages still left their artifacts behind
         assert (tmp_path / "run" / "embeddings.txt").is_file()
 
+    @pytest.mark.parametrize("index, function", enumerate(
+        ["build_knn_view", "stack_views", "decompose", "extract_embeddings", "evaluate",
+         "write_weights_csv"]))
+    def test_stage_failure_is_recorded(self, demo_paths, tmp_path, monkeypatch, index, function):
+        name = STAGE_NAMES[index]
+
+        def explode(*args, **kwargs):
+            raise RuntimeError(f"{function} broke")
+
+        monkeypatch.setattr(graphfactor.pipeline, function, explode)
+        with pytest.raises(PipelineError) as excinfo:
+            run_pipeline(demo_config(demo_paths), tmp_path / "run")
+        assert excinfo.value.stage == name
+        assert isinstance(excinfo.value.cause, RuntimeError)
+        marker = (tmp_path / "run" / "FAILED").read_text()
+        assert marker == f"stage: {name}\ncause: {function} broke\n"
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == name
+        assert manifest["failure_cause"] == f"{function} broke"
+        assert [s["name"] for s in manifest["stages"]] == list(STAGE_NAMES[:index])
+
     def test_successful_rerun_removes_stale_failed_marker(self, demo_paths, tmp_path):
         with pytest.raises(PipelineError):
             run_pipeline(demo_config(demo_paths, labels=None), tmp_path / "run")
@@ -172,7 +196,7 @@ class TestRunPipeline:
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
         for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
                     {"l2_strength": 0.0}, {"train_fractions": (1.0,)}, {"seed": -1},
-                    {"k": 2.0}):
+                    {"k": 2.0}, {"prune_threshold": float("nan")}):
             config = demo_config(demo_paths, **bad)
             with pytest.raises(ValueError):
                 run_pipeline(config, tmp_path / "run")
@@ -260,6 +284,28 @@ class TestPruningReportReuse:
         )
         assert len(standalone["removed_dimensions"]) == 1
         assert json.loads((run_dir / "pruning_report.json").read_text()) == standalone
+
+    @pytest.mark.parametrize("source", ["A", "B"])
+    def test_one_pruning_per_run(self, demo_paths, tmp_path, monkeypatch, source):
+        calls = []
+        original = graphfactor.embedding.prune_dimensions
+
+        def counting_prune(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Patch every module that holds the function, wherever the run calls it from.
+        modules = [m for name, m in sys.modules.items() if name.startswith("graphfactor")]
+        for module in modules:
+            if getattr(module, "prune_dimensions", None) is original:
+                monkeypatch.setattr(module, "prune_dimensions", counting_prune)
+        config = demo_config(demo_paths, prune_threshold=self.THRESHOLD, embedding_source=source)
+        run_dir = run_pipeline(config, tmp_path / "run")
+        assert len(calls) == 1
+        model = load_model(run_dir / "model")
+        want, removed = original(extract_embeddings(model, "A"), model, self.THRESHOLD)
+        assert len(removed) == 1
+        assert np.array_equal(load_matrix(run_dir / "embeddings_pruned.txt"), want)
 
     def test_source_a_reuses_the_first_evaluation(self, demo_paths, tmp_path, monkeypatch):
         calls = []
@@ -388,6 +434,24 @@ class TestCli:
                      "--out", str(tmp_path / "w.csv"), "--prune-eval"])
         assert code == 1
         assert "--prune-eval requires" in capsys.readouterr().err
+
+    def test_nan_prune_threshold_exits_two(self, demo_paths, tmp_path, capsys):
+        model, emb = tmp_path / "model", tmp_path / "emb.txt"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]),
+                     "--rank", "2", "--max-iters", "20", "--tol", "1e-4",
+                     "--out", str(model)]) == 0
+        assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
+        code = main(["embed", "--model", str(model), "--prune-threshold", "nan",
+                     "--out", str(tmp_path / "pruned.txt")])
+        assert code == 2
+        code = main(["interpret", "--model", str(model), "--threshold", "nan",
+                     "--out", str(tmp_path / "w.csv"), "--prune-eval",
+                     "--embeddings", str(emb), "--labels", str(demo_paths["labels"]),
+                     "--repeats", "2", "--report-out", str(tmp_path / "prune.json")])
+        assert code == 2
+        assert "threshold must be >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "pruned.txt").exists()
+        assert not (tmp_path / "prune.json").exists()
 
     def test_data_errors_exit_two(self, demo_paths, tmp_path, capsys):
         code = main(["evaluate", "--embeddings", str(tmp_path / "absent.txt"),

@@ -12,12 +12,11 @@ from graphfactor import (
     Graph,
     Tensor3,
     build_knn_view,
-    fit,
     mttkrp,
     reconstruct_view,
     stack_views,
 )
-from graphfactor.tensor import mttkrp_from_products, slice_products
+from graphfactor.tensor import fit_from_view_mttkrp, mttkrp_from_products, slice_products
 
 from oracles import khatri_rao, matricize, oracle_fit, oracle_mttkrp, oracle_reconstruct
 
@@ -199,6 +198,12 @@ class TestReconstructView:
             reconstruct_view(m, 2)
         with pytest.raises(ValueError):
             reconstruct_view(m, -1)
+
+
+# The fit as an ALS sweep records it, from the view-mode MTTKRP and the node Grams.
+def fit(x, m):
+    gram = (m.A.T @ m.A) * (m.B.T @ m.B)
+    return fit_from_view_mttkrp(x, mttkrp(x, m.A, m.B, 2), gram, m.C * m.column_scales)
 
 
 class TestFit:
