@@ -110,12 +110,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
-    model = load_model(args.model)
-    weights = view_weights(model)
-    write_weights_csv(weights, args.out)
-    print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
-    if not args.prune_eval:
-        return EXIT_OK
     missing = [
         flag
         for flag, value in (
@@ -124,13 +118,20 @@ def _cmd_interpret(args) -> int:
             ("--labels", args.labels),
             ("--report-out", args.report_out),
         )
-        if value is None
+        if args.prune_eval and value is None
     ]
     if missing:
         return _usage_error(f"--prune-eval requires {', '.join(missing)}")
-    emb = load_matrix(args.embeddings)
-    labels = load_labels(args.labels, num_nodes=emb.shape[0])
-    report = pruning_report(model, emb, labels, args.threshold, _eval_config(args))
+    model = load_model(args.model)
+    if args.prune_eval:  # computed first, so a rejected input writes nothing
+        emb = load_matrix(args.embeddings)
+        labels = load_labels(args.labels, num_nodes=emb.shape[0])
+        report = pruning_report(model, emb, labels, args.threshold, _eval_config(args))
+    weights = view_weights(model)
+    write_weights_csv(weights, args.out)
+    print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
+    if not args.prune_eval:
+        return EXIT_OK
     save_json(report, args.report_out)
     print(
         f"wrote {args.report_out}: removed {len(report['removed_dimensions'])} "

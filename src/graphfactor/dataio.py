@@ -21,7 +21,6 @@ from .errors import DataError, ParseError
 
 __all__ = [
     "Graph",
-    "LabelSet",
     "load_edge_list",
     "load_features",
     "load_labels",
@@ -54,21 +53,6 @@ class Graph:
         vals = np.ones(rows.shape[0])
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
         return mat.tocsr()
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """Per-node label-id sets; nodes with an empty set are unlabeled."""
-
-    num_nodes: int
-    num_labels: int
-    assignments: tuple
-
-    def labels_of(self, node: int) -> frozenset:
-        return self.assignments[node]
-
-    def labeled_nodes(self):
-        return [v for v in range(self.num_nodes) if self.assignments[v]]
 
 
 # Field kinds of a record: the token parser, the column dtype, the test each
@@ -183,11 +167,13 @@ def load_features(path) -> sp.csr_matrix:
     return mat
 
 
-def load_labels(path, num_nodes: int | None = None) -> LabelSet:
+def load_labels(path, num_nodes: int | None = None) -> np.ndarray:
     """Parse node labels ("node label" per line, multi-label allowed).
 
-    ``num_nodes`` defaults to 1 + the largest node id; a label on a node
-    at or above a given count raises DataError.
+    Returns a boolean node-by-label matrix; a row with no True entry is
+    an unlabeled node. ``num_nodes`` defaults to 1 + the largest node id;
+    a label on a node at or above a given count raises DataError. The
+    label count is 1 + the largest label id.
     """
     nodes, labels = parse_records(path, read_records(path), "node label", "ii")
     max_node = int(nodes.max())
@@ -195,14 +181,9 @@ def load_labels(path, num_nodes: int | None = None) -> LabelSet:
         num_nodes = max_node + 1
     elif max_node >= num_nodes:
         raise DataError(f"{path}: node id {max_node} exceeds declared node count {num_nodes}")
-    sets = [set() for _ in range(num_nodes)]
-    for node, label in zip(nodes.tolist(), labels.tolist()):
-        sets[node].add(label)
-    return LabelSet(
-        num_nodes=num_nodes,
-        num_labels=int(labels.max()) + 1,
-        assignments=tuple(frozenset(s) for s in sets),
-    )
+    matrix = np.zeros((num_nodes, int(labels.max()) + 1), dtype=bool)
+    matrix[nodes, labels] = True
+    return matrix
 
 
 def save_matrix(arr: np.ndarray, path) -> None:

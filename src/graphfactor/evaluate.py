@@ -26,7 +26,6 @@ import scipy.optimize
 import scipy.special
 
 from ._blas import single_blas_thread
-from .dataio import LabelSet
 from .errors import NumericalError
 
 __all__ = [
@@ -146,12 +145,13 @@ def _indicator(label_sets, universe) -> np.ndarray:
 
 def train_ovr(
     emb: np.ndarray,
-    labels: LabelSet,
+    labels: np.ndarray,
     train_idx,
     l2_strength: float = 1.0,
 ) -> OvrClassifier:
     """Fit one binary classifier per label on the given training nodes.
 
+    ``labels`` is the boolean node-by-label matrix ``load_labels`` returns.
     The penalty on label j's weight vector is ||w_j||^2 / (2 * l2_strength).
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -162,10 +162,10 @@ def train_ovr(
     outside = (train_idx < 0) | (train_idx >= emb.shape[0])
     if outside.any():
         raise ValueError(f"train node {train_idx[outside][0]} outside embedding rows")
-    beyond = train_idx >= labels.num_nodes
+    beyond = train_idx >= labels.shape[0]
     if beyond.any():
         raise ValueError(f"train node {train_idx[beyond][0]} outside the label set")
-    members = _indicator(labels.assignments, range(labels.num_labels))[train_idx]
+    members = labels[train_idx]
     unlabeled = ~members.any(axis=1)
     if unlabeled.any():
         raise ValueError(f"train node {train_idx[unlabeled][0]} has no labels")
@@ -173,12 +173,12 @@ def train_ovr(
     x = emb[train_idx]
     targets = np.where(members, 1.0, -1.0)
     positive = members.any(axis=0)
-    weights = np.zeros((labels.num_labels, emb.shape[1]))
-    biases = np.zeros(labels.num_labels)
+    weights = np.zeros((labels.shape[1], emb.shape[1]))
+    biases = np.zeros(labels.shape[1])
     for label in np.flatnonzero(positive):
         weights[label], biases[label] = _fit_binary(x, targets[:, label], l2_strength)
     return OvrClassifier(
-        num_labels=labels.num_labels,
+        num_labels=labels.shape[1],
         weights=weights,
         biases=biases,
         degenerate_labels=tuple(np.flatnonzero(~positive).tolist()),
@@ -253,36 +253,43 @@ def macro_f1(predicted, truth, num_labels: int | None = None) -> float:
 
 
 def stratified_split(
-    labels: LabelSet, train_fraction: float, rng: np.random.Generator
+    labels: np.ndarray, train_fraction: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
     """Split labeled nodes into train/test, stratified by label set.
 
-    Nodes sharing an identical label set form one stratum; each stratum
-    contributes round(fraction * size) nodes to training. Guarantees
-    both sides nonempty by moving a single node if needed.
+    Nodes sharing an identical label set (an identical row of the boolean
+    node-by-label matrix) form one stratum; each stratum contributes
+    round(fraction * size) nodes to training. Strata draw their shuffles
+    in the order of their sorted label-id tuples, so {0} comes before
+    {0, 1}. Guarantees both sides nonempty by moving a single node if
+    needed.
     """
-    groups: dict[tuple, list[int]] = {}
-    for node in labels.labeled_nodes():
-        key = tuple(sorted(labels.labels_of(node)))
-        groups.setdefault(key, []).append(node)
-    if not groups:
+    labeled = np.flatnonzero(labels.any(axis=1))
+    if not labeled.size:
         raise ValueError("no labeled nodes to split")
+    # Each row packed into one byte string: np.unique sorts those over ten
+    # times faster than the rows themselves (axis=0 sorts a record per row).
+    packed = np.packbits(labels[labeled], axis=1)
+    _, first, stratum_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                     return_index=True, return_inverse=True)
+    # Byte order puts {0, 1} before {0}; the draws follow the label-id tuples.
+    keys = [tuple(np.flatnonzero(labels[labeled[i]]).tolist()) for i in first]
     train: list[int] = []
     test: list[int] = []
-    starving = []
-    for key in sorted(groups):
-        members = groups[key]
+    starving = 0
+    for stratum in sorted(range(len(keys)), key=keys.__getitem__):
+        members = labeled[stratum_of == stratum]
         order = rng.permutation(len(members))
         n_train = int(np.floor(train_fraction * len(members) + 0.5))
         n_train = min(max(n_train, 0), len(members))
         if n_train == 0:
-            starving.append(key)
-        shuffled = [members[i] for i in order]
+            starving += 1
+        shuffled = members[order].tolist()
         train.extend(shuffled[:n_train])
         test.extend(shuffled[n_train:])
     if starving:
         warnings.warn(
-            f"{len(starving)} label group(s) received no training nodes "
+            f"{starving} label group(s) received no training nodes "
             f"at fraction {train_fraction}",
             stacklevel=2,
         )
@@ -294,19 +301,18 @@ def stratified_split(
 
 
 def evaluate(
-    emb: np.ndarray, labels: LabelSet, config: EvalConfig = EvalConfig()
+    emb: np.ndarray, labels: np.ndarray, config: EvalConfig = EvalConfig()
 ) -> EvalReport:
-    """Repeated stratified split evaluation; deterministic in the seed."""
+    """Repeated stratified-split evaluation of boolean node labels; deterministic in the seed."""
     config.validate()
-    labeled = labels.labeled_nodes()
-    if len(labeled) < 2:
+    labeled = np.flatnonzero(labels.any(axis=1))
+    if labeled.size < 2:
         raise ValueError("need at least 2 labeled nodes to evaluate")
-    if labeled and max(labeled) >= emb.shape[0]:
+    if labeled[-1] >= emb.shape[0]:
         raise ValueError(
-            f"label file references node {max(labeled)} but embeddings "
+            f"label file references node {labeled[-1]} but embeddings "
             f"have {emb.shape[0]} rows"
         )
-    members = _indicator(labels.assignments, range(labels.num_labels))
     scores = []
     degenerate_counts = []
     with single_blas_thread():
@@ -314,7 +320,7 @@ def evaluate(
             rng = np.random.default_rng([config.seed, rep])
             train_idx, test_idx = stratified_split(labels, config.train_fraction, rng)
             clf = train_ovr(emb, labels, train_idx, config.l2_strength)
-            truth = members[test_idx]
+            truth = labels[test_idx]
             predicted = predict(clf, emb[test_idx], truth.sum(axis=1))
             scores.append(_f1_scores(predicted, truth))
             degenerate_counts.append(len(clf.degenerate_labels))

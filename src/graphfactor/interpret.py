@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .cpals import FactorModel
-from .dataio import LabelSet
 from .embedding import prune_dimensions, view_dimension_weights
 from .evaluate import EvalConfig, EvalReport, evaluate
 
@@ -84,7 +83,7 @@ def dimension_correlation(emb: np.ndarray, removed) -> dict:
 def pruning_report(
     model: FactorModel,
     emb: np.ndarray,
-    labels: LabelSet,
+    labels: np.ndarray,
     threshold: float,
     eval_config: EvalConfig = EvalConfig(),
     *,
@@ -93,13 +92,16 @@ def pruning_report(
     """Classification quality before vs. after pruning, same seeds.
 
     ``emb`` must be the unpruned source-A embedding of ``model``; both
-    embeddings are evaluated under ``eval_config``. ``before``, when
-    given, is that embedding's evaluation under ``eval_config``, already
-    computed by the caller; it is used in place of evaluating again, and
-    a report made under any other config is rejected. The report embeds
-    the removed dimensions, both evaluation summaries, the Micro-F1
-    delta, and per-removed-dimension correlations when computable.
+    embeddings are evaluated under ``eval_config``, and a threshold that
+    ``prune_dimensions`` rejects is rejected before either evaluation.
+    ``before``, when given, is that embedding's evaluation under
+    ``eval_config``, already computed by the caller; it is used in place
+    of evaluating again, and a report made under any other config is
+    rejected. The report embeds the removed dimensions, both evaluation
+    summaries, the Micro-F1 delta, and per-removed-dimension correlations
+    when computable.
     """
+    pruned_emb, removed = prune_dimensions(emb, model, threshold)
     if before is None:
         before = evaluate(emb, labels, eval_config)
     elif before.config != eval_config:
@@ -108,7 +110,6 @@ def pruning_report(
             f"before report (train fraction {made.train_fraction}, {made.repeats} repeats, "
             f"seed {made.seed}, l2 strength {made.l2_strength}) does not match {eval_config}"
         )
-    pruned_emb, removed = prune_dimensions(emb, model, threshold)
     after = evaluate(pruned_emb, labels, eval_config) if removed else before
 
     num_nodes, dim = emb.shape

@@ -7,6 +7,8 @@ Newton iterations), deliberately sharing no code path with the package.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 
@@ -186,6 +188,45 @@ def oracle_logistic_newton(
 def oracle_top_k(scores, k: int) -> list:
     """The k best labels of one score vector, ties toward the lower id."""
     return sorted(range(len(scores)), key=lambda label: (-scores[label], label))[:k]
+
+
+def oracle_stratified_split(label_sets, train_fraction: float, rng):
+    """Stratified train/test split over per-node label sets.
+
+    Nodes with identical nonempty sets form one stratum, grouped through a
+    dict keyed by the sorted label-id tuple and visited in sorted key order;
+    each stratum draws one permutation and gives round(fraction * size)
+    nodes to training. Written against Python sets, sharing no code with
+    the package's boolean-matrix split.
+    """
+    groups: dict = {}
+    for node, held in enumerate(label_sets):
+        if held:
+            groups.setdefault(tuple(sorted(held)), []).append(node)
+    if not groups:
+        raise ValueError("no labeled nodes to split")
+    train, test, starving = [], [], []
+    for key in sorted(groups):
+        members = groups[key]
+        order = rng.permutation(len(members))
+        n_train = int(np.floor(train_fraction * len(members) + 0.5))
+        n_train = min(max(n_train, 0), len(members))
+        if n_train == 0:
+            starving.append(key)
+        shuffled = [members[i] for i in order]
+        train.extend(shuffled[:n_train])
+        test.extend(shuffled[n_train:])
+    if starving:
+        warnings.warn(
+            f"{len(starving)} label group(s) received no training nodes "
+            f"at fraction {train_fraction}",
+            stacklevel=2,
+        )
+    if not train:
+        train.append(test.pop(0))
+    if not test:
+        test.append(train.pop())
+    return sorted(train), sorted(test)
 
 
 # ----------------------------------------------------------------- F1

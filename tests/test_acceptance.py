@@ -16,21 +16,17 @@ import scipy.sparse as sp
 from graphfactor import (
     AlsConfig,
     EvalConfig,
-    Graph,
-    LabelSet,
-    Tensor3,
     build_knn_view,
     decompose,
-    evaluate,
     extract_embeddings,
-    macro_f1,
-    micro_f1,
-    mttkrp,
-    pruning_report,
     stack_views,
 )
 from graphfactor.cli import main
+from graphfactor.dataio import Graph
 from graphfactor.embedding import dimension_weights
+from graphfactor.evaluate import evaluate, macro_f1, micro_f1
+from graphfactor.interpret import pruning_report
+from graphfactor.tensor import Tensor3, mttkrp
 from oracles import (
     oracle_cosine,
     oracle_knn_edges,
@@ -51,11 +47,7 @@ def verdict(capsys, criterion: int, ok: bool, detail: str) -> None:
 def in_memory(ds):
     graph = Graph(num_nodes=ds.config.num_nodes, edges=frozenset(ds.edges))
     features = ds.features_csr()
-    labels = LabelSet(
-        num_nodes=ds.config.num_nodes,
-        num_labels=ds.config.num_classes,
-        assignments=tuple(frozenset({c}) for c in ds.labels),
-    )
+    labels = np.eye(ds.config.num_classes, dtype=bool)[list(ds.labels)]
     return graph, features, labels
 
 

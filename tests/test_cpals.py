@@ -12,21 +12,18 @@ import pytest
 import scipy.linalg
 
 import graphfactor.cpals
-from graphfactor import (
-    AlsConfig,
+from graphfactor import AlsConfig, decompose
+from graphfactor._blas import openblas_thread_controls
+from graphfactor.cpals import (
     FactorModel,
-    Tensor3,
+    _solve_gram,
     als_step,
-    decompose,
     init_factors,
     load_model,
-    mttkrp,
-    reconstruct_view,
     save_model,
 )
-from graphfactor._blas import openblas_thread_controls
-from graphfactor.cpals import _solve_gram
 from graphfactor.errors import DataError, NumericalError, ParseError
+from graphfactor.tensor import Tensor3, mttkrp, reconstruct_view
 
 from oracles import oracle_als, oracle_als_sweep, oracle_fit
 from synthdata import WEBKB_SHAPED, planted_dataset, write_dataset

@@ -6,16 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphfactor import (
-    DataError,
-    Graph,
-    ParseError,
-    load_edge_list,
-    load_features,
-    load_labels,
-    load_model,
-)
-from graphfactor.dataio import load_matrix, save_matrix, sha256_file
+from graphfactor import DataError, ParseError, load_edge_list, load_features, load_labels
+from graphfactor.cpals import load_model
+from graphfactor.dataio import Graph, load_matrix, save_matrix, sha256_file
 from graphfactor.knn import load_directed_edge_list
 
 from oracles import oracle_id_pairs
@@ -124,21 +117,24 @@ class TestLoadFeatures:
 class TestLoadLabels:
     def test_multi_label_sets(self, tmp_path):
         p = write(tmp_path, "l.txt", "0 1\n0 2\n2 0\n")
-        ls = load_labels(p)
-        assert ls.num_nodes == 3
-        assert ls.num_labels == 3
-        assert ls.labels_of(0) == frozenset({1, 2})
-        assert ls.labels_of(1) == frozenset()
-        assert ls.labeled_nodes() == [0, 2]
+        labels = load_labels(p)
+        assert isinstance(labels, np.ndarray)
+        assert labels.dtype == np.bool_
+        assert labels.shape == (3, 3)
+        assert labels.tolist() == [[False, True, True], [False, False, False],
+                                   [True, False, False]]
+        assert np.flatnonzero(labels.any(axis=1)).tolist() == [0, 2]  # node 1 is unlabeled
 
     def test_duplicate_pairs_collapse(self, tmp_path):
         p = write(tmp_path, "l.txt", "0 1\n0 1\n")
-        assert load_labels(p).labels_of(0) == frozenset({1})
+        assert load_labels(p).tolist() == [[False, True]]
 
     def test_declared_bounds(self, tmp_path):
         p = write(tmp_path, "l.txt", "0 1\n")
-        ls = load_labels(p, num_nodes=5)
-        assert (ls.num_nodes, ls.num_labels) == (5, 2)
+        labels = load_labels(p, num_nodes=5)
+        assert labels.dtype == np.bool_
+        assert labels.shape == (5, 2)
+        assert labels.tolist() == [[False, True]] + [[False, False]] * 4
         with pytest.raises(DataError):
             load_labels(p, num_nodes=0)
 
@@ -282,16 +278,14 @@ class TestProperties:
 
         directed = np.zeros((n, n))
         counts = np.zeros((n_first, n_second))
-        sets = [set() for _ in range(n_first)]
         for a, b in pairs:
             directed[a, b] = 1.0
             counts[a, b] += 1.0
-            sets[a].add(b)
         assert np.array_equal(load_directed_edge_list(p).toarray(), directed)
         assert np.array_equal(load_features(p).toarray(), counts)
         labels = load_labels(p)
-        assert labels.num_labels == n_second
-        assert labels.assignments == tuple(frozenset(s) for s in sets)
+        assert labels.dtype == np.bool_
+        assert np.array_equal(labels, counts > 0)
 
         edges = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
         if not edges:

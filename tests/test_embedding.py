@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from graphfactor import FactorModel, extract_embeddings, prune_dimensions
-from graphfactor.embedding import dimension_weights
+from graphfactor import extract_embeddings
+from graphfactor.cpals import FactorModel
+from graphfactor.embedding import dimension_weights, prune_dimensions
 
 
 def model_from(a, b, c, scales):

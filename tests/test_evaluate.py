@@ -1,37 +1,46 @@
 """Classifier training, prediction protocols, F1 metrics, split protocol."""
 
-import importlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfactor import (
-    EvalConfig,
-    LabelSet,
+import graphfactor.evaluate as evaluate_module
+from graphfactor import EvalConfig
+from graphfactor._blas import openblas_thread_controls
+from graphfactor.evaluate import (
+    OvrClassifier,
+    _logistic_objective,
     evaluate,
     macro_f1,
     micro_f1,
     predict,
+    stratified_split,
     train_ovr,
 )
-from graphfactor._blas import openblas_thread_controls
-from graphfactor.evaluate import OvrClassifier, _logistic_objective, stratified_split
 
-from oracles import oracle_logistic_newton, oracle_macro_f1, oracle_micro_f1, oracle_top_k
-
-# the package re-exports the function evaluate under the module's name
-evaluate_module = importlib.import_module("graphfactor.evaluate")
+from oracles import (
+    oracle_logistic_newton,
+    oracle_macro_f1,
+    oracle_micro_f1,
+    oracle_stratified_split,
+    oracle_top_k,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
 
 def labelset(assignments, num_labels=None):
-    sets = [frozenset(s) for s in assignments]
+    """Boolean node-by-label matrix whose row i marks the labels of assignments[i]."""
+    sets = [sorted(s) for s in assignments]
     if num_labels is None:
-        num_labels = max((max(s) for s in sets if s), default=-1) + 1
-    return LabelSet(num_nodes=len(sets), num_labels=num_labels, assignments=tuple(sets))
+        num_labels = max((s[-1] for s in sets if s), default=-1) + 1
+    labels = np.zeros((len(sets), num_labels), dtype=bool)
+    for node, held in enumerate(sets):
+        labels[node, held] = True
+    return labels
 
 
 def emb_of(rows):
@@ -84,7 +93,7 @@ class TestTrainOvr:
         labels = labelset([{int(v)} for v in rng.integers(0, 3, 25)])
         clf = train_ovr(emb, labels, list(range(25)))
         for label in range(3):
-            y = np.array([1.0 if label in labels.labels_of(i) else -1.0 for i in range(25)])
+            y = np.where(labels[:, label], 1.0, -1.0)
             fitted_params = np.append(clf.weights[label], clf.biases[label])
             fitted = _logistic_objective(fitted_params, x, y, 1.0)[0]
             at_zero = _logistic_objective(np.zeros(5), x, y, 1.0)[0]
@@ -92,8 +101,7 @@ class TestTrainOvr:
 
     def test_zero_positive_label_flagged_not_error(self):
         emb = emb_of([[1.0], [2.0], [3.0]])
-        labels = LabelSet(num_nodes=3, num_labels=3,
-                          assignments=(frozenset({0}), frozenset({0}), frozenset({1})))
+        labels = labelset([{0}, {0}, {1}], num_labels=3)
         clf = train_ovr(emb, labels, [0, 1, 2])
         assert clf.degenerate_labels == (2,)
         # the degenerate label is never predicted
@@ -309,6 +317,27 @@ class TestStratifiedSplit:
         with pytest.warns(UserWarning):
             train, test = stratified_split(labels, 0.01, np.random.default_rng(4))
         assert train and test
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_matches_set_based_oracle(self, data):
+        # Nodes pick from a small pool of sets over 3 labels, so cases hold
+        # multi-label, unlabeled, single-node and nested strata ({0}, {0, 1}).
+        pool = data.draw(st.lists(st.frozensets(st.integers(0, 2)), min_size=1, max_size=5))
+        sets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+        fraction = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        outcomes = []
+        for split, labels in ((oracle_stratified_split, sets),
+                              (stratified_split, labelset(sets, num_labels=3))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outcome = split(labels, fraction, np.random.default_rng(seed))
+                except ValueError as exc:
+                    outcome = str(exc)
+            outcomes.append((outcome, [str(w.message) for w in caught]))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestEvaluate:

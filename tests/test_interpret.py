@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
-from graphfactor import (
-    AlsConfig,
-    EvalConfig,
-    FactorModel,
-    LabelSet,
-    Tensor3,
-    decompose,
+from graphfactor import AlsConfig, EvalConfig, decompose, extract_embeddings
+from graphfactor.cpals import FactorModel
+from graphfactor.evaluate import evaluate
+from graphfactor.interpret import (
     dimension_correlation,
-    evaluate,
-    extract_embeddings,
     pruning_report,
     view_weights,
     write_weights_csv,
 )
+from graphfactor.tensor import Tensor3
 
 
 def make_model(a, b, c, scales):
@@ -33,11 +29,11 @@ def emb_of(rows):
 
 
 def labelset(sets):
-    return LabelSet(
-        num_nodes=len(sets),
-        num_labels=max((max(s) for s in sets if s), default=-1) + 1,
-        assignments=tuple(frozenset(s) for s in sets),
-    )
+    """Boolean node-by-label matrix whose row i marks the labels of sets[i]."""
+    labels = np.zeros((len(sets), max((max(s) for s in sets if s), default=-1) + 1), dtype=bool)
+    for node, held in enumerate(sets):
+        labels[node, sorted(held)] = True
+    return labels
 
 
 class TestViewWeights:

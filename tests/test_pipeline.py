@@ -18,14 +18,13 @@ from graphfactor import (
     PipelineError,
     extract_embeddings,
     load_labels,
-    load_model,
-    pruning_report,
     run_pipeline,
-    sweep,
 )
 from graphfactor.cli import main
+from graphfactor.cpals import load_model
 from graphfactor.dataio import load_matrix, sha256_file
-from graphfactor.pipeline import STAGE_NAMES, default_run_root
+from graphfactor.interpret import pruning_report
+from graphfactor.pipeline import STAGE_NAMES, default_run_root, sweep
 from synthdata import DEMO30, planted_dataset, write_dataset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -434,6 +433,33 @@ class TestCli:
                      "--out", str(tmp_path / "w.csv"), "--prune-eval"])
         assert code == 1
         assert "--prune-eval requires" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_interpret_rejects_nan_threshold_before_any_write_or_evaluation(
+        self, demo_paths, tmp_path, capsys, monkeypatch
+    ):
+        model, emb = tmp_path / "model", tmp_path / "emb.txt"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]),
+                     "--rank", "2", "--max-iters", "20", "--tol", "1e-4",
+                     "--out", str(model)]) == 0
+        assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
+        calls = []
+        evaluate = graphfactor.interpret.evaluate
+
+        def counting_evaluate(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(graphfactor.interpret, "evaluate", counting_evaluate)
+        code = main(["interpret", "--model", str(model), "--threshold", "nan",
+                     "--out", str(tmp_path / "w.csv"), "--prune-eval",
+                     "--embeddings", str(emb), "--labels", str(demo_paths["labels"]),
+                     "--repeats", "2", "--report-out", str(tmp_path / "prune.json")])
+        assert code == 2
+        assert "threshold must be >= 0, got nan" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "w.csv").exists()
+        assert not (tmp_path / "prune.json").exists()
 
     def test_nan_prune_threshold_exits_two(self, demo_paths, tmp_path, capsys):
         model, emb = tmp_path / "model", tmp_path / "emb.txt"

@@ -7,16 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphfactor import (
-    FactorModel,
-    Graph,
+from graphfactor import build_knn_view, stack_views
+from graphfactor.cpals import FactorModel
+from graphfactor.dataio import Graph
+from graphfactor.tensor import (
     Tensor3,
-    build_knn_view,
+    fit_from_view_mttkrp,
     mttkrp,
+    mttkrp_from_products,
     reconstruct_view,
-    stack_views,
+    slice_products,
 )
-from graphfactor.tensor import fit_from_view_mttkrp, mttkrp_from_products, slice_products
 
 from oracles import khatri_rao, matricize, oracle_fit, oracle_mttkrp, oracle_reconstruct
 
