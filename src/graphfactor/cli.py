@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .cpals import INIT_CHOICES, AlsConfig, decompose, load_model, save_model
 from .dataio import (
@@ -20,13 +19,14 @@ from .dataio import (
     load_matrix,
     save_json,
     save_matrix,
+    save_text,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
 from .errors import DataError, NumericalError, PipelineError
 from .evaluate import EvalConfig, evaluate
 from .interpret import pruning_report, view_weights, write_weights_csv
 from .knn import build_knn_view, load_directed_edge_list, save_knn_edge_list
-from .pipeline import PipelineConfig, run_pipeline, sweep
+from .pipeline import PipelineConfig, config_from, run_pipeline, sweep
 from .tensor import reconstruct_view, stack_views
 
 __all__ = ["main"]
@@ -67,8 +67,7 @@ def _cmd_decompose(args) -> int:
     graph = load_edge_list(args.adj)
     z = None if args.knn is None else load_directed_edge_list(args.knn)
     tensor = stack_views(graph, z)
-    config = AlsConfig(rank=args.rank, max_iters=args.max_iters, tol=args.tol,
-                       seed=args.seed, init=args.init)
+    config = config_from(AlsConfig, args)
     model = decompose(tensor, config)
     save_model(model, args.out, config)
     status = "converged" if model.converged else "did not converge"
@@ -91,15 +90,10 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(args.train_fraction, repeats=args.repeats, seed=args.seed,
-                      l2_strength=args.l2)
-
-
 def _cmd_evaluate(args) -> int:
     emb = load_matrix(args.embeddings)
     labels = load_labels(args.labels, num_nodes=emb.shape[0])
-    report = evaluate(emb, labels, _eval_config(args))
+    report = evaluate(emb, labels, config_from(EvalConfig, args))
     save_json(report.to_dict(), args.out)
     print(
         f"wrote {args.out}: micro-F1 {report.micro_f1_mean:.4f} "
@@ -126,7 +120,7 @@ def _cmd_interpret(args) -> int:
     if args.prune_eval:  # computed first, so a rejected input writes nothing
         emb = load_matrix(args.embeddings)
         labels = load_labels(args.labels, num_nodes=emb.shape[0])
-        report = pruning_report(model, emb, labels, args.threshold, _eval_config(args))
+        report = pruning_report(model, emb, labels, args.threshold, config_from(EvalConfig, args))
     weights = view_weights(model)
     write_weights_csv(weights, args.out)
     print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
@@ -149,37 +143,17 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        edges=args.edges,
-        features=args.features,
-        labels=args.labels,
-        k=args.k,
-        rank=args.rank,
-        seed=args.seed,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        train_fractions=tuple(args.train_fractions),
-        repeats=args.repeats,
-        l2_strength=args.l2,
-        prune_threshold=args.prune_threshold,
-        embedding_source=args.source,
-        init=args.init,
-        use_knn_view=not args.no_knn_view,
-    )
-
-
 def _cmd_run(args) -> int:
-    config = _pipeline_config(args)
+    config = config_from(PipelineConfig, args, train_fractions=tuple(args.train_fractions))
     run_dir = run_pipeline(config, args.out)
     print(f"run complete: {run_dir}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    config = _pipeline_config(args)
+    config = config_from(PipelineConfig, args, train_fractions=tuple(args.train_fractions))
     result = sweep(config, args.param, args.values, run_root=args.run_root)
-    Path(args.out).write_text(result.to_csv(), encoding="utf-8")
+    save_text(args.out, result.to_csv())
     print(f"wrote {args.out}: {len(result.rows)} values of {args.param}")
     return EXIT_OK
 
@@ -198,13 +172,15 @@ def _add_dataset_args(parser, labels_required: bool) -> None:
     parser.add_argument("--train-fractions", type=float, nargs="+",
                         default=[EvalConfig.train_fraction], metavar="F")
     parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
-    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength,
-                        help="inverse L2 strength")
+    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength, dest="l2_strength",
+                        metavar="L2", help="inverse L2 strength")
     parser.add_argument("--prune-threshold", type=float, default=None)
-    parser.add_argument("--source", choices=EMBEDDING_SOURCES, default="A")
+    parser.add_argument("--source", choices=EMBEDDING_SOURCES, default="A",
+                        dest="embedding_source")
     parser.add_argument(
         "--no-knn-view",
-        action="store_true",
+        action="store_false",
+        dest="use_knn_view",
         help="drop the feature-similarity view (adjacency-only ablation)",
     )
 
@@ -221,7 +197,8 @@ def _add_eval_args(parser) -> None:
     parser.add_argument("--train-fraction", type=float, default=EvalConfig.train_fraction)
     parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
     parser.add_argument("--seed", type=int, default=EvalConfig.seed)
-    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength)
+    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength, dest="l2_strength",
+                        metavar="L2")
 
 
 def build_parser() -> _Parser:

@@ -35,7 +35,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
-from .dataio import load_json, load_matrix, parse_records, read_records, save_json, save_matrix
+from .dataio import (load_json, load_matrix, parse_records, read_records, save_json, save_matrix,
+                     save_text)
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp, mttkrp_from_products, slice_products
 
@@ -103,13 +104,16 @@ class FactorModel:
     column_scales: np.ndarray
     fit_history: list = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
     gram_fallbacks: int = 0
     blas_threads: int | None = None
 
     @property
     def rank(self) -> int:
         return self.A.shape[1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.fit_history)
 
     def normalized(self) -> "FactorModel":
         """Absorb the node-factor column norms into column_scales."""
@@ -206,7 +210,6 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
         C=c_raw,
         column_scales=np.ones(model.rank),
         fit_history=fit_history,
-        iterations=len(fit_history),
         gram_fallbacks=model.gram_fallbacks + a_fell + b_fell + c_fell,
     )
     return updated._absorb_norms(np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram)))
@@ -252,8 +255,7 @@ def save_model(model: FactorModel, directory, config: AlsConfig | None = None) -
     save_matrix(model.A, directory / "A.txt")
     save_matrix(model.B, directory / "B.txt")
     save_matrix(model.C, directory / "C.txt")
-    lines = [repr(float(v)) for v in model.column_scales]
-    (directory / "scales.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_text(directory / "scales.txt", "".join(f"{float(v)!r}\n" for v in model.column_scales))
     record = {
         "rank": model.rank,
         "converged": model.converged,
@@ -280,5 +282,4 @@ def load_model(directory) -> FactorModel:
         record = load_json(run_path)
         model.fit_history = [float(v) for v in record.get("fit_history", [])]
         model.converged = bool(record.get("converged", False))
-        model.iterations = int(record.get("iterations", len(model.fit_history)))
     return model

@@ -30,6 +30,8 @@ __all__ = [
     "sha256_file",
 ]
 
+TEMP_SUFFIX = ".tmp"  # save_text writes <target><TEMP_SUFFIX>, then renames it
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -196,7 +198,7 @@ def save_matrix(arr: np.ndarray, path) -> None:
     lines = [f"{arr.shape[0]} {arr.shape[1]}"]
     for row in arr:
         lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_text(path, "\n".join(lines) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -216,9 +218,22 @@ def load_matrix(path) -> np.ndarray:
     return np.array(columns, dtype=np.float64).reshape(n_cols, n_rows).T.copy()
 
 
+def save_text(path, text: str) -> None:
+    """Replace ``path`` whole with UTF-8 ``text`` by way of a renamed temporary
+    file. A failed write removes it and leaves the old file as it was."""
+    temp = Path(f"{path}{TEMP_SUFFIX}")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        temp.replace(path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_json(obj, path) -> None:
-    """Write a JSON record: two-space indent, sorted keys, final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write JSON: two-space indent, sorted keys, final newline, numpy scalars as numbers."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=np.generic.item)
+    save_text(path, text + "\n")
 
 
 def load_json(path):

@@ -10,11 +10,10 @@ column against the surviving columns.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .cpals import FactorModel
+from .dataio import save_text
 from .embedding import prune_dimensions, view_dimension_weights
 from .evaluate import EvalConfig, EvalReport, evaluate
 
@@ -43,7 +42,7 @@ def write_weights_csv(weights: np.ndarray, path) -> None:
     for r in range(num_dims):
         cells = [str(r)] + [repr(float(weights[l, r])) for l in range(num_views)]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_text(path, "\n".join(lines) + "\n")
 
 
 def dimension_correlation(emb: np.ndarray, removed) -> dict:

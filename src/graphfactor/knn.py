@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import parse_records, read_records
+from .dataio import parse_records, read_records, save_text
 
 __all__ = [
     "KnnView",
@@ -157,7 +156,7 @@ def save_knn_edge_list(view: KnnView, path) -> None:
     """Write the view as a directed edge list, neighbors in selection order."""
     nodes = np.repeat(np.arange(view.num_nodes), np.diff(view.indptr))
     text = "".join(map("{} {}\n".format, nodes.tolist(), view.indices.tolist()))
-    Path(path).write_text(text, encoding="utf-8")
+    save_text(path, text)
 
 
 def load_directed_edge_list(path) -> sp.csr_matrix:

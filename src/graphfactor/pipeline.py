@@ -24,12 +24,14 @@ import numpy as np
 
 from .cpals import AlsConfig, decompose, save_model
 from .dataio import (
+    TEMP_SUFFIX,
     load_edge_list,
     load_features,
     load_json,
     load_labels,
     save_json,
     save_matrix,
+    save_text,
     sha256_file,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings
@@ -43,8 +45,8 @@ __all__ = ["PipelineConfig", "run_pipeline", "sweep", "default_run_root"]
 
 RUNS_ENV_VAR = "GRAPHFACTOR_RUNS"
 STAGE_NAMES = ("build-knn", "stack", "decompose", "embed", "evaluate", "interpret")
-# Every file a run can write, as globs relative to the run directory. A run
-# deletes them all before its first stage and leaves any other file alone.
+# Every file a run can write, as globs relative to the run directory. A run deletes
+# them and their temporaries before its first stage and leaves any other file alone.
 RUN_ARTIFACTS = (
     "FAILED",
     "manifest.json",
@@ -60,6 +62,13 @@ RUN_ARTIFACTS = (
     "pruning_report.json",
     "embeddings_pruned.txt",
 )
+
+
+def config_from(cls, source, **given):
+    """The dataclass ``cls`` with each field read from the same-named attribute of
+    ``source``, a config or an argparse namespace; ``given`` overrides fields."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+    return cls(**{name: getattr(source, name) for name in names}, **given)
 
 
 @dataclass
@@ -83,17 +92,10 @@ class PipelineConfig:
     use_knn_view: bool = True
 
     def als_config(self) -> AlsConfig:
-        return AlsConfig(
-            rank=self.rank,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            seed=self.seed,
-            init=self.init,
-        )
+        return config_from(AlsConfig, self)
 
     def eval_config(self, train_fraction: float) -> EvalConfig:
-        return EvalConfig(train_fraction, repeats=self.repeats, seed=self.seed,
-                          l2_strength=self.l2_strength)
+        return config_from(EvalConfig, self, train_fraction=train_fraction)
 
     def validate(self) -> None:
         if not isinstance(self.k, Integral) or self.k < 1:
@@ -103,8 +105,8 @@ class PipelineConfig:
             raise ValueError("train_fractions must be nonempty")
         for frac in self.train_fractions:
             self.eval_config(frac).validate()
-        if len(set(self.train_fractions)) != len(self.train_fractions):
-            raise ValueError("train_fractions contains duplicates")
+        if len(set(map(_fraction_tag, self.train_fractions))) != len(self.train_fractions):
+            raise ValueError("train_fractions contains duplicates (equal report file names)")
         if self.prune_threshold is not None and not self.prune_threshold >= 0:
             raise ValueError(f"prune threshold must be >= 0, got {self.prune_threshold}")
         if self.embedding_source not in EMBEDDING_SOURCES:
@@ -165,7 +167,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for pattern in RUN_ARTIFACTS:
-        for path in run_dir.glob(pattern):
+        for path in [*run_dir.glob(pattern), *run_dir.glob(pattern + TEMP_SUFFIX)]:
             path.unlink()
 
     manifest: dict = {
@@ -183,9 +185,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         try:
             yield details
         except Exception as exc:
-            (run_dir / "FAILED").write_text(
-                f"stage: {name}\ncause: {exc}\n", encoding="utf-8"
-            )
+            save_text(run_dir / "FAILED", f"stage: {name}\ncause: {exc}\n")
             manifest["status"] = "failed"
             manifest["failed_stage"] = name
             manifest["failure_cause"] = str(exc)

@@ -1,5 +1,7 @@
 """File-format loaders/writers: parsing rules, validation, round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from graphfactor import DataError, ParseError, load_edge_list, load_features, load_labels
 from graphfactor.cpals import load_model
-from graphfactor.dataio import Graph, load_matrix, save_matrix, sha256_file
+from graphfactor.dataio import (
+    Graph,
+    load_matrix,
+    save_json,
+    save_matrix,
+    save_text,
+    sha256_file,
+)
 from graphfactor.knn import load_directed_edge_list
 
 from oracles import oracle_id_pairs
@@ -190,6 +199,49 @@ class TestMatrixFormat:
         assert sha256_file(p) == sha256_file(p)
         with pytest.raises(DataError):
             sha256_file(tmp_path / "absent.txt")
+
+
+# ------------------------------------------------------------ crash-safe writes
+
+
+def _fail_rename(self, target):
+    raise OSError("rename refused")
+
+
+class TestSaveText:
+    @pytest.mark.parametrize("old", [None, "old bytes\n"])
+    @pytest.mark.parametrize("failure", ["encode", "rename"])
+    def test_failed_write_keeps_the_old_file_and_no_temporary(
+        self, tmp_path, monkeypatch, old, failure
+    ):
+        target = tmp_path / "out.txt"
+        if old is not None:
+            target.write_text(old, encoding="utf-8")
+        text = "new bytes\n"
+        if failure == "encode":  # fails after the temporary file was opened
+            text = "partial \ud800\n"
+        else:  # fails after the temporary file was written in full
+            monkeypatch.setattr(Path, "replace", _fail_rename)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            save_text(target, text)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.txt"])
+        if old is not None:
+            assert target.read_text(encoding="utf-8") == old
+
+    def test_replaces_the_whole_file(self, tmp_path):
+        target = write(tmp_path, "out.txt", "a much longer earlier text\n")
+        save_text(target, "short\n")
+        assert target.read_bytes() == b"short\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_json_writes_numpy_scalars_as_python_numbers(self, tmp_path):
+        save_json({"rank": np.int64(4), "ok": np.bool_(True), "fit": np.float64(0.25)},
+                  tmp_path / "numpy.json")
+        save_json({"rank": 4, "ok": True, "fit": 0.25}, tmp_path / "plain.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        with pytest.raises(TypeError):
+            save_json({"labels": {1, 2}}, tmp_path / "set.json")
+        assert not (tmp_path / "set.json").exists()
 
 
 # ------------------------------------------------- every text input format

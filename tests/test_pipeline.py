@@ -1,5 +1,6 @@
 """Tests for the six-stage run pipeline, the parameter sweep, and the CLI."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import graphfactor.embedding
 import graphfactor.interpret
 import graphfactor.pipeline
 from graphfactor import (
+    AlsConfig,
     EvalConfig,
     NumericalError,
     PipelineConfig,
@@ -22,9 +24,9 @@ from graphfactor import (
 )
 from graphfactor.cli import main
 from graphfactor.cpals import load_model
-from graphfactor.dataio import load_matrix, sha256_file
+from graphfactor.dataio import load_matrix, save_matrix, sha256_file
 from graphfactor.interpret import pruning_report
-from graphfactor.pipeline import STAGE_NAMES, default_run_root, sweep
+from graphfactor.pipeline import STAGE_NAMES, SweepResult, config_from, default_run_root, sweep
 from synthdata import DEMO30, planted_dataset, write_dataset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +56,10 @@ def demo_config(paths, **overrides):
 
 def run_files(run_dir):
     return sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
+
+
+def run_bytes(run_dir):
+    return {name: (run_dir / name).read_bytes() for name in run_files(run_dir)}
 
 
 class TestRunPipeline:
@@ -192,10 +198,28 @@ class TestRunPipeline:
         kept = ["model/notes.txt", "notes.txt"]
         assert run_files(tmp_path / "run") == sorted(run_files(tmp_path / "fresh") + kept)
 
+    def test_rerun_deletes_the_temporaries_a_killed_write_left(self, demo_paths, tmp_path):
+        run_dir = tmp_path / "run"
+        (run_dir / "model").mkdir(parents=True)
+        left = ["FAILED.tmp", "manifest.json.tmp", "eval_train_0p3.json.tmp", "model/A.txt.tmp"]
+        for name in [*left, "notes.txt.tmp"]:
+            (run_dir / name).write_text("half a file")
+        run_pipeline(demo_config(demo_paths), run_dir)
+        run_pipeline(demo_config(demo_paths), tmp_path / "fresh")
+        assert run_files(run_dir) == sorted(run_files(tmp_path / "fresh") + ["notes.txt.tmp"])
+
+    def test_numpy_integer_settings_write_the_plain_int_bytes(self, demo_paths, tmp_path):
+        plain = run_pipeline(demo_config(demo_paths, rank=4, seed=1), tmp_path / "plain")
+        numpy = run_pipeline(
+            demo_config(demo_paths, rank=np.int64(4), seed=np.int64(1)), tmp_path / "numpy"
+        )
+        assert run_bytes(numpy) == run_bytes(plain)
+
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
         for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
                     {"l2_strength": 0.0}, {"train_fractions": (1.0,)}, {"seed": -1},
-                    {"k": 2.0}, {"prune_threshold": float("nan")}):
+                    {"k": 2.0}, {"prune_threshold": float("nan")},
+                    {"train_fractions": (0.5, 0.5)}, {"train_fractions": (0.5, 0.5000001)}):
             config = demo_config(demo_paths, **bad)
             with pytest.raises(ValueError):
                 run_pipeline(config, tmp_path / "run")
@@ -356,6 +380,110 @@ class TestSweep:
             sweep(demo_config(demo_paths), "k", [2, 2], run_root=tmp_path)
         with pytest.raises(ValueError, match="nonempty"):
             sweep(demo_config(demo_paths), "k", [], run_root=tmp_path)
+
+
+class TestConfigFrom:
+    def test_copies_same_named_fields_and_takes_overrides(self, demo_paths):
+        config = demo_config(demo_paths, seed=3, l2_strength=2.0)
+        assert config_from(EvalConfig, config, train_fraction=0.4) == EvalConfig(
+            0.4, repeats=3, seed=3, l2_strength=2.0
+        )
+        assert config_from(AlsConfig, config) == config.als_config()
+
+    def test_a_field_the_source_lacks_raises(self, demo_paths):
+        with pytest.raises(AttributeError, match="train_fraction"):
+            config_from(EvalConfig, demo_config(demo_paths))
+
+
+def assert_all_non_default(config):
+    """Every field with a default holds another value, so a flag that fills
+    no field (or the wrong one) shows up as a mismatch."""
+    for f in dataclasses.fields(config):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(config, f.name) != f.default, f.name
+
+
+class TestCliFlagWiring:
+    """Every flag lands in its config field: an argv that sets all of them
+    builds the config its keywords build."""
+
+    @pytest.fixture
+    def pipeline_argv(self, demo_paths):
+        expected = PipelineConfig(
+            edges=str(demo_paths["edges"]), features=str(demo_paths["features"]),
+            labels=str(demo_paths["labels"]), k=5, rank=6, seed=3, tol=1e-4, max_iters=7,
+            train_fractions=(0.3, 0.6), repeats=4, l2_strength=2.5, prune_threshold=0.2,
+            embedding_source="B", init="normal", use_knn_view=False,
+        )
+        argv = [
+            "--edges", expected.edges, "--features", expected.features,
+            "--labels", expected.labels, "--k", "5", "--rank", "6", "--seed", "3",
+            "--tol", "1e-4", "--max-iters", "7", "--train-fractions", "0.3", "0.6",
+            "--repeats", "4", "--l2", "2.5", "--prune-threshold", "0.2", "--source", "B",
+            "--init", "normal", "--no-knn-view",
+        ]
+        assert_all_non_default(expected)
+        return argv, expected
+
+    def test_run_builds_the_keyword_pipeline_config(self, pipeline_argv, monkeypatch, tmp_path):
+        argv, expected = pipeline_argv
+        seen = []
+        monkeypatch.setattr(graphfactor.cli, "run_pipeline",
+                            lambda config, out: seen.append(config) or out)
+        assert main(["run", *argv, "--out", str(tmp_path / "run")]) == 0
+        assert seen == [expected]
+
+    def test_sweep_builds_the_keyword_pipeline_config(self, pipeline_argv, monkeypatch, tmp_path):
+        argv, expected = pipeline_argv
+        seen = []
+        monkeypatch.setattr(graphfactor.cli, "sweep",
+                            lambda config, *args, **kwargs: seen.append(config) or SweepResult("d"))
+        code = main(["sweep", *argv, "--param", "d", "--values", "2",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        assert seen == [expected]
+
+    def test_decompose_builds_the_keyword_als_config(self, demo_paths, monkeypatch, tmp_path):
+        expected = AlsConfig(rank=3, max_iters=5, tol=1e-3, seed=2, init="normal")
+        assert_all_non_default(expected)
+        seen = []
+        real = graphfactor.cli.decompose
+        monkeypatch.setattr(graphfactor.cli, "decompose",
+                            lambda x, config: seen.append(config) or real(x, config))
+        code = main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "3",
+                     "--max-iters", "5", "--tol", "1e-3", "--seed", "2", "--init", "normal",
+                     "--out", str(tmp_path / "model")])
+        assert code == 0
+        assert seen == [expected]
+        record = json.loads((tmp_path / "model" / "run.json").read_text())
+        assert record["config"] == dataclasses.asdict(expected)
+
+    def test_evaluate_and_interpret_build_the_keyword_eval_config(
+        self, demo_paths, monkeypatch, tmp_path
+    ):
+        expected = EvalConfig(train_fraction=0.6, repeats=2, seed=4, l2_strength=3.0)
+        assert_all_non_default(expected)
+        flags = ["--train-fraction", "0.6", "--repeats", "2", "--seed", "4", "--l2", "3.0"]
+        model, emb = tmp_path / "model", tmp_path / "emb.txt"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "4",
+                     "--max-iters", "20", "--out", str(model)]) == 0
+        save_matrix(extract_embeddings(load_model(model)), emb)
+        seen = []
+        real_evaluate, real_report = graphfactor.cli.evaluate, graphfactor.cli.pruning_report
+        monkeypatch.setattr(graphfactor.cli, "evaluate",
+                            lambda e, labels, config: seen.append(config)
+                            or real_evaluate(e, labels, config))
+        monkeypatch.setattr(graphfactor.cli, "pruning_report",
+                            lambda m, e, labels, threshold, config: seen.append(config)
+                            or real_report(m, e, labels, threshold, config))
+        labels = str(demo_paths["labels"])
+        assert main(["evaluate", "--embeddings", str(emb), "--labels", labels, *flags,
+                     "--out", str(tmp_path / "eval.json")]) == 0
+        assert main(["interpret", "--model", str(model), "--threshold", "0.001",
+                     "--out", str(tmp_path / "weights.csv"), "--prune-eval",
+                     "--embeddings", str(emb), "--labels", labels, *flags,
+                     "--report-out", str(tmp_path / "prune.json")]) == 0
+        assert seen == [expected, expected]
 
 
 class TestCli:
