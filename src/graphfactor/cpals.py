@@ -60,10 +60,22 @@ INIT_CHOICES = ("uniform", "normal")
 # solve's relative error bound, about eps / rcond, is 2e-6.
 _RCOND_MIN = 1e-10
 
+# ``decompose`` extrapolates only after a plain sweep gains less than this
+# many times ``tol``. Started from the fourth sweep, extrapolation pulled
+# two components of an 8000-node planted graph's model together and cut
+# micro-F1 from 0.894 to 0.789; started here, it never engages on a run
+# whose every sweep still gains more.
+_EXTRAPOLATE_BELOW = 10.0
+
 
 @dataclass
 class AlsConfig:
-    """Solver settings; two runs with equal configs give equal models."""
+    """Solver settings; two runs with equal configs give equal models.
+
+    ``max_iters`` caps the sweeps ``decompose`` spends, rejected
+    extrapolation tries included; ``tol`` bounds the fit gain per sweep
+    spent at convergence (see ``decompose``).
+    """
 
     rank: int
     max_iters: int = 100
@@ -93,9 +105,12 @@ class FactorModel:
     by the solver. ``gram_fallbacks`` counts the Gram solves that took
     the pseudoinverse: the Gram had no Cholesky factor, its estimated
     reciprocal condition number was at or below ``_RCOND_MIN``, or the
-    inverse gave a non-finite result. ``blas_threads`` is the BLAS thread
-    count ``decompose`` ran with (None when it found no OpenBLAS to pin).
-    Neither is saved by ``save_model``.
+    inverse gave a non-finite result, in kept sweeps and rejected
+    extrapolation tries alike. ``blas_threads`` is the BLAS thread count
+    ``decompose`` ran with (None when it found no OpenBLAS to pin).
+    ``extrapolations_accepted`` and ``extrapolations_rejected`` count the
+    extrapolated sweeps ``decompose`` kept and dropped. None of these is
+    saved by ``save_model``.
     """
 
     A: np.ndarray
@@ -106,6 +121,8 @@ class FactorModel:
     converged: bool = False
     gram_fallbacks: int = 0
     blas_threads: int | None = None
+    extrapolations_accepted: int = 0
+    extrapolations_rejected: int = 0
 
     @property
     def rank(self) -> int:
@@ -215,11 +232,35 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
     return updated._absorb_norms(np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram)))
 
 
+def _extrapolated(previous: FactorModel, current: FactorModel, step: float) -> FactorModel:
+    """``current`` moved on by ``step`` times the step from ``previous``,
+    in the factors a sweep reads: B and the scale-weighted C."""
+    weighted_c = current.C * current.column_scales
+    return dataclasses.replace(
+        current,
+        B=current.B + step * (current.B - previous.B),
+        C=weighted_c + step * (weighted_c - previous.C * previous.column_scales),
+        column_scales=np.ones(current.rank),
+    )
+
+
 def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
-    """Iterate ALS sweeps until the fit stops changing or max_iters.
+    """Iterate ALS sweeps until the fit stops gaining or max_iters.
+
+    Plain sweeps run until one gains less than ``_EXTRAPOLATE_BELOW *
+    tol``. Then each step first tries a sweep from B and the
+    scale-weighted C moved on by k ** (1/3) times the last step between
+    kept models (k = 2 at the first try, plus one per sweep spent), keeps
+    it only if its fit beats the current fit, and otherwise runs a plain
+    sweep (Bro 1998; Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
+    2008). ``max_iters`` counts every sweep spent, rejected tries
+    included. The run has converged when the last kept model's fit gain
+    per sweep it cost (1, or 2 after a rejected try) is below ``tol`` in
+    absolute value: for a run that never extrapolates, one sweep moving
+    the fit by less than ``tol``.
 
     Non-convergence within max_iters is not an error; the returned model
-    carries a converged flag and the full per-iteration fit history.
+    carries a converged flag and the fit history of its kept sweeps.
     The history comes from the expanded fit identity
     (``tensor.fit_from_view_mttkrp``): a residual within that identity's
     rounding error reads as a fit of exactly 1, and just above it the fit
@@ -235,16 +276,38 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
     model = init_factors(x.dims, config)
     with single_blas_thread() as threads:
         model.blas_threads = threads
-        prev_fit = None
-        for _ in range(config.max_iters):
-            model = als_step(x, model)
-            current = model.fit_history[-1]
+        previous = None  # the kept model before ``model``
+        spent = 0
+        start = None  # sweeps spent when extrapolation began
+        while spent < config.max_iters:
+            cost = 1
+            if start is None:
+                kept = als_step(x, model)
+            else:
+                step = (spent - start + 2) ** (1 / 3)
+                kept = als_step(x, _extrapolated(previous, model, step))
+                if kept.fit_history[-1] > model.fit_history[-1]:
+                    kept.extrapolations_accepted += 1
+                else:
+                    model.extrapolations_rejected += 1
+                    model.gram_fallbacks = kept.gram_fallbacks
+                    spent += 1
+                    if spent == config.max_iters:
+                        break
+                    kept = als_step(x, model)
+                    cost = 2
+            spent += 1
+            current = kept.fit_history[-1]
             if not np.isfinite(current):
                 raise NumericalError("fit became non-finite during ALS")
-            if prev_fit is not None and abs(current - prev_fit) < config.tol:
-                model.converged = True
-                break
-            prev_fit = current
+            previous, model = model, kept
+            if previous.fit_history:
+                gain = current - previous.fit_history[-1]
+                if abs(gain) / cost < config.tol:
+                    model.converged = True
+                    break
+                if start is None and gain < _EXTRAPOLATE_BELOW * config.tol:
+                    start = spent
     return model
 
 

@@ -196,8 +196,9 @@ def save_matrix(arr: np.ndarray, path) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix contains non-finite entries")
     lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    # repr of Python floats, one row converted at a time: no numpy scalar
+    # per value, and no list of every value held at once
+    lines.extend(" ".join(map(repr, row.tolist())) for row in arr)
     save_text(path, "\n".join(lines) + "\n")
 
 

@@ -18,7 +18,7 @@ thread.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -60,6 +60,11 @@ class EvalConfig:
         if not self.l2_strength > 0:
             raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
 
+    def to_dict(self) -> dict:
+        """Every field, cast to its declared type: ``l2_strength=2`` gives 2.0."""
+        casts = {"float": float, "int": int}
+        return {f.name: casts[f.type](getattr(self, f.name)) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class OvrClassifier:
@@ -87,9 +92,11 @@ class EvalReport:
     degenerate_label_counts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The metrics, with the split settings of ``EvalConfig.to_dict``."""
+        settings = self.config.to_dict()
         return {
-            "train_fraction": float(self.config.train_fraction),
-            "repeats": int(self.config.repeats),
+            "train_fraction": settings["train_fraction"],
+            "repeats": settings["repeats"],
             "micro_f1_mean": float(self.micro_f1_mean),
             "micro_f1_std": float(self.micro_f1_std),
             "macro_f1_mean": float(self.macro_f1_mean),

@@ -130,12 +130,7 @@ def pruning_report(
         "macro_f1_before": float(before.macro_f1_mean),
         "macro_f1_after": float(after.macro_f1_mean),
         "removed_dimension_correlations": correlations,
-        "eval_config": {
-            "train_fraction": float(eval_config.train_fraction),
-            "repeats": int(eval_config.repeats),
-            "seed": int(eval_config.seed),
-            "l2_strength": float(eval_config.l2_strength),
-        },
+        "eval_config": eval_config.to_dict(),
         "evaluation_before": before.to_dict(),
         "evaluation_after": after.to_dict(),
     }

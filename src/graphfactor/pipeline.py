@@ -236,6 +236,8 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             final_fit=float(model.fit_history[-1]),
             fit_history=[float(v) for v in model.fit_history],
             gram_fallbacks=model.gram_fallbacks,
+            extrapolations_accepted=model.extrapolations_accepted,
+            extrapolations_rejected=model.extrapolations_rejected,
             blas_threads=model.blas_threads,
             output="model",
         )

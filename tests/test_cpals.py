@@ -1,5 +1,6 @@
 """Alternating least squares: sweeps, convergence, normalization, I/O."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -37,6 +38,40 @@ def random_tensor(rng, dims, density=0.6):
 
 def dense_fit(dense, m):
     return oracle_fit(dense, m.A, m.B, m.C, m.column_scales)
+
+
+def plain_als(x, config):
+    """ALS without extrapolation, stopped when a sweep moves the fit less than tol."""
+    model = init_factors(x.dims, config)
+    for _ in range(config.max_iters):
+        model = als_step(x, model)
+        if model.iterations > 1 and abs(model.fit_history[-1] - model.fit_history[-2]) < config.tol:
+            model.converged = True
+            break
+    return model
+
+
+def planted_tensor(seed=0, size=30, rank=4, noise=0.3):
+    """A rank-``rank`` nonnegative tensor plus dense uniform noise; plain ALS
+    converges on it at tol 1e-8 after a long, slowly gaining tail."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.random((size, rank)), rng.random((size, rank)), rng.random((2, rank))
+    dense = np.einsum("ir,jr,lr->ijl", a, b, c) + noise * rng.random((size, size, 2))
+    return Tensor3.from_dense(dense)
+
+
+def counting_als_step(monkeypatch):
+    """Route decompose's sweeps through a wrapper; returns the list of their fits."""
+    fits = []
+    real_step = graphfactor.cpals.als_step
+
+    def step(x, model):
+        out = real_step(x, model)
+        fits.append(out.fit_history[-1])
+        return out
+
+    monkeypatch.setattr(graphfactor.cpals, "als_step", step)
+    return fits
 
 
 def zeroed_component_model(rng, i_dim, j_dim, l_dim):
@@ -292,6 +327,57 @@ class TestDecompose:
             dense, m0.A, m0.B, m0.C, m0.column_scales, m.iterations
         )
         assert np.allclose(m.fit_history, history, atol=1e-8)
+
+
+class TestExtrapolation:
+    PLANTED = AlsConfig(rank=4, seed=0, max_iters=500, tol=1e-8)
+
+    def test_run_that_never_slows_down_is_plain_als(self):
+        # every sweep gains at least 10 tol, so extrapolation never starts
+        rng = np.random.default_rng(30)
+        for seed in range(3):
+            x = Tensor3.from_dense(random_tensor(rng, (8, 7, 2)))
+            config = AlsConfig(rank=3, seed=seed, max_iters=6, tol=1e-12)
+            m = decompose(x, config)
+            want = plain_als(x, config)
+            assert np.diff(m.fit_history).min() >= 10 * config.tol
+            assert m.fit_history == want.fit_history
+            for name in ("A", "B", "C", "column_scales"):
+                assert np.array_equal(getattr(m, name), getattr(want, name))
+            assert (m.converged, m.extrapolations_accepted, m.extrapolations_rejected) == (
+                False, 0, 0)
+
+    def test_max_iters_counts_rejected_tries(self, monkeypatch):
+        x = planted_tensor()
+        fits = counting_als_step(monkeypatch)
+        full = decompose(x, self.PLANTED)
+        spent = len(fits)
+        assert full.converged and full.extrapolations_rejected >= 1
+        assert spent == full.iterations + full.extrapolations_rejected
+        # a sweep whose fit was not kept is a rejected try; capping the run
+        # there ends it on that try
+        rejected_at = [i + 1 for i, fit in enumerate(fits) if fit not in full.fit_history]
+        assert len(rejected_at) == full.extrapolations_rejected
+        for cap in (*rejected_at, rejected_at[0] + 1, spent - 1, spent):
+            fits.clear()
+            m = decompose(x, dataclasses.replace(self.PLANTED, max_iters=cap))
+            assert len(fits) == cap == m.iterations + m.extrapolations_rejected
+            assert m.converged == (cap == spent)
+            assert m.fit_history == full.fit_history[:m.iterations]
+
+    def test_history_stays_monotone_once_extrapolating(self):
+        for seed in (0, 2, 3):
+            m = decompose(planted_tensor(seed), self.PLANTED)
+            assert m.extrapolations_accepted >= 1
+            assert np.all(np.diff(m.fit_history) >= -1e-12)
+
+    def test_planted_tensor_needs_fewer_sweeps_for_the_same_fit(self):
+        x = planted_tensor()
+        want = plain_als(x, self.PLANTED)
+        m = decompose(x, self.PLANTED)
+        assert want.converged and m.converged
+        assert m.iterations + m.extrapolations_rejected <= 0.7 * want.iterations
+        assert m.fit_history[-1] >= (1 - 1e-3) * want.fit_history[-1]
 
 
 class TestBlasThreads:

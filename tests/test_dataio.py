@@ -167,6 +167,17 @@ class TestMatrixFormat:
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)  # exact, not approx
 
+    def test_text_is_the_repr_of_each_value_as_a_python_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1.2345678901234568e17, -1.7976931348623157e308]
+        for arr in (rng.standard_normal((40, 7)) * np.logspace(-12, 12, 7),
+                    np.array([special]), np.arange(6).reshape(2, 3)):
+            p = tmp_path / "m.txt"
+            save_matrix(arr, p)
+            rows = [" ".join(repr(float(v)) for v in row) for row in np.asarray(arr, np.float64)]
+            want = "\n".join([f"{arr.shape[0]} {arr.shape[1]}", *rows]) + "\n"
+            assert p.read_text(encoding="utf-8") == want
+
     def test_header_format(self, tmp_path):
         p = tmp_path / "m.txt"
         save_matrix(np.zeros((2, 4)), p)

@@ -98,6 +98,17 @@ class TestRunPipeline:
         assert report["train_fraction"] == 0.5
         assert 0.0 <= report["micro_f1_mean"] <= 1.0
 
+    def test_manifest_counts_extrapolations_that_run_json_omits(self, demo_paths, tmp_path):
+        run_dir = run_pipeline(demo_config(demo_paths), tmp_path / "run")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        entry = {s["name"]: s for s in manifest["stages"]}["decompose"]
+        record = json.loads((run_dir / "model" / "run.json").read_text())
+        # the demo run's fit gain falls below 10 tol well before it stops
+        assert entry["extrapolations_accepted"] >= 1
+        assert entry["extrapolations_rejected"] >= 1
+        assert entry["iterations"] == len(record["fit_history"])
+        assert not {"extrapolations_accepted", "extrapolations_rejected"} & set(record)
+
     def test_input_checksums_recorded(self, demo_paths, tmp_path):
         run_dir = run_pipeline(demo_config(demo_paths), tmp_path / "run")
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -125,6 +136,18 @@ class TestRunPipeline:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         interpret = next(s for s in manifest["stages"] if s["name"] == "interpret")
         assert interpret["pruning_report"] == report
+
+    def test_reports_write_every_eval_config_field_as_its_declared_type(self, demo_paths,
+                                                                          tmp_path):
+        config = demo_config(demo_paths, prune_threshold=1e-3, repeats=2, l2_strength=2)
+        run_dir = run_pipeline(config, tmp_path / "run")
+        text = (run_dir / "pruning_report.json").read_text()
+        settings = json.loads(text)["eval_config"]
+        assert set(settings) == {f.name for f in dataclasses.fields(EvalConfig)}
+        assert settings == {"train_fraction": 0.5, "repeats": 2, "seed": 0, "l2_strength": 2.0}
+        assert '"l2_strength": 2.0' in text
+        evaluation = json.loads((run_dir / "eval_train_0p5.json").read_text())
+        assert (evaluation["train_fraction"], evaluation["repeats"]) == (0.5, 2)
 
     def test_knn_view_can_be_disabled(self, demo_paths, tmp_path):
         config = demo_config(demo_paths, use_knn_view=False)
