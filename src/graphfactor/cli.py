@@ -21,10 +21,11 @@ from .dataio import (
     save_matrix,
     save_text,
 )
-from .embedding import EMBEDDING_SOURCES, extract_embeddings, prune_dimensions
+from .embedding import (EMBEDDING_SOURCES, extract_embeddings, prune_dimensions,
+                        view_dimension_weights)
 from .errors import DataError, NumericalError, PipelineError
 from .evaluate import EvalConfig, evaluate
-from .interpret import pruning_report, view_weights, write_weights_csv
+from .interpret import pruning_report, write_weights_csv
 from .knn import build_knn_view, load_directed_edge_list, save_knn_edge_list
 from .pipeline import PipelineConfig, config_from, run_pipeline, sweep
 from .tensor import reconstruct_view, stack_views
@@ -71,9 +72,10 @@ def _cmd_decompose(args) -> int:
     model = decompose(tensor, config)
     save_model(model, args.out, config)
     status = "converged" if model.converged else "did not converge"
+    rejected = model.extrapolations_rejected
     print(
-        f"wrote {args.out}: rank {model.rank}, fit {model.fit_history[-1]:.6f} "
-        f"after {model.iterations} iterations ({status})"
+        f"wrote {args.out}: rank {model.rank}, fit {model.fit_history[-1]:.6f} after "
+        f"{model.iterations + rejected} sweeps, {rejected} extrapolations rejected ({status})"
     )
     return EXIT_OK
 
@@ -121,7 +123,7 @@ def _cmd_interpret(args) -> int:
         emb = load_matrix(args.embeddings)
         labels = load_labels(args.labels, num_nodes=emb.shape[0])
         report = pruning_report(model, emb, labels, args.threshold, config_from(EvalConfig, args))
-    weights = view_weights(model)
+    weights = view_dimension_weights(model)
     write_weights_csv(weights, args.out)
     print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
     if not args.prune_eval:
@@ -278,17 +280,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PipelineError as exc:
+    except (PipelineError, NumericalError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, NumericalError):
-            return EXIT_NUMERICAL
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        return EXIT_NUMERICAL if isinstance(cause, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

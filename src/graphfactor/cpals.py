@@ -35,8 +35,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
-from .dataio import (load_json, load_matrix, parse_records, read_records, save_json, save_matrix,
-                     save_text)
+from .dataio import (config_record, load_json, load_matrix, parse_records, read_records, save_json,
+                     save_matrix, save_text)
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp, mttkrp_from_products, slice_products
 
@@ -277,26 +277,19 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
     with single_blas_thread() as threads:
         model.blas_threads = threads
         previous = None  # the kept model before ``model``
-        spent = 0
         start = None  # sweeps spent when extrapolation began
-        while spent < config.max_iters:
-            cost = 1
-            if start is None:
+        cost = 1  # sweeps spent on the next kept model: 2 after a rejected try
+        for spent in range(1, config.max_iters + 1):
+            if start is None or cost == 2:
                 kept = als_step(x, model)
             else:
-                step = (spent - start + 2) ** (1 / 3)
-                kept = als_step(x, _extrapolated(previous, model, step))
-                if kept.fit_history[-1] > model.fit_history[-1]:
-                    kept.extrapolations_accepted += 1
-                else:
+                kept = als_step(x, _extrapolated(previous, model, (spent - start + 1) ** (1 / 3)))
+                if not kept.fit_history[-1] > model.fit_history[-1]:
                     model.extrapolations_rejected += 1
                     model.gram_fallbacks = kept.gram_fallbacks
-                    spent += 1
-                    if spent == config.max_iters:
-                        break
-                    kept = als_step(x, model)
                     cost = 2
-            spent += 1
+                    continue
+                kept.extrapolations_accepted += 1
             current = kept.fit_history[-1]
             if not np.isfinite(current):
                 raise NumericalError("fit became non-finite during ALS")
@@ -308,11 +301,12 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
                     break
                 if start is None and gain < _EXTRAPOLATE_BELOW * config.tol:
                     start = spent
+            cost = 1
     return model
 
 
-def save_model(model: FactorModel, directory, config: AlsConfig | None = None) -> None:
-    """Persist factors, scales, and the run record under a directory."""
+def save_model(model: FactorModel, directory, config: AlsConfig) -> None:
+    """Persist factors, scales, and the run record of ``config`` under a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_matrix(model.A, directory / "A.txt")
@@ -324,9 +318,8 @@ def save_model(model: FactorModel, directory, config: AlsConfig | None = None) -
         "converged": model.converged,
         "iterations": model.iterations,
         "fit_history": [float(v) for v in model.fit_history],
+        "config": config_record(config),
     }
-    if config is not None:
-        record["config"] = dataclasses.asdict(config)
     save_json(record, directory / "run.json")
 
 

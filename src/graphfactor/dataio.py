@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +235,22 @@ def save_json(obj, path) -> None:
     """Write JSON: two-space indent, sorted keys, final newline, numpy scalars as numbers."""
     text = json.dumps(obj, indent=2, sort_keys=True, default=np.generic.item)
     save_text(path, text + "\n")
+
+
+# How a config dataclass writes a field, by the annotation string of its declared type.
+_FIELD_CASTS = {"int": int, "float": float, "str": str, "bool": bool,
+                "tuple[float, ...]": lambda values: [float(v) for v in values]}
+
+
+def config_record(config) -> dict:
+    """Every field of a config dataclass, cast to its declared type for
+    ``save_json`` (``X | None`` keeps None): ``tol=1`` gives 1.0, a Path its str."""
+    record = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        cast = _FIELD_CASTS[f.type.removesuffix(" | None")]
+        record[f.name] = None if value is None else cast(value)
+    return record
 
 
 def load_json(path):

@@ -18,7 +18,7 @@ thread.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -26,6 +26,7 @@ import scipy.optimize
 import scipy.special
 
 from ._blas import single_blas_thread
+from .dataio import config_record
 from .errors import NumericalError
 
 __all__ = [
@@ -60,11 +61,6 @@ class EvalConfig:
         if not self.l2_strength > 0:
             raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
 
-    def to_dict(self) -> dict:
-        """Every field, cast to its declared type: ``l2_strength=2`` gives 2.0."""
-        casts = {"float": float, "int": int}
-        return {f.name: casts[f.type](getattr(self, f.name)) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class OvrClassifier:
@@ -92,8 +88,8 @@ class EvalReport:
     degenerate_label_counts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The metrics, with the split settings of ``EvalConfig.to_dict``."""
-        settings = self.config.to_dict()
+        """The metrics, with the split settings as ``config_record`` writes them."""
+        settings = config_record(self.config)
         return {
             "train_fraction": settings["train_fraction"],
             "repeats": settings["repeats"],

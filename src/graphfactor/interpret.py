@@ -1,11 +1,11 @@
 """Interpretability artifacts for a fitted factor model.
 
-Three analyses: the per-view weight table read off the view factor
-(absolute, scale-weighted coefficients of the canonical model), a
-pruning report comparing classification quality before and after
-dropping low-weight dimensions under identical evaluation seeds, and
-the maximum absolute Pearson correlation of each removed embedding
-column against the surviving columns.
+Three analyses: the per-view weight table of
+``embedding.view_dimension_weights`` written as CSV, a pruning report
+comparing classification quality before and after dropping low-weight
+dimensions under identical evaluation seeds, and the maximum absolute
+Pearson correlation of each removed embedding column against the
+surviving columns.
 """
 
 from __future__ import annotations
@@ -13,29 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .cpals import FactorModel
-from .dataio import save_text
-from .embedding import prune_dimensions, view_dimension_weights
+from .dataio import config_record, save_text
+from .embedding import prune_dimensions
 from .evaluate import EvalConfig, EvalReport, evaluate
 
 __all__ = [
-    "view_weights",
     "write_weights_csv",
     "pruning_report",
     "dimension_correlation",
 ]
 
-def view_weights(model: FactorModel) -> np.ndarray:
-    """Per-view contribution of each dimension, as a views x dimensions array.
-
-    Computed on the canonical form (node factors column-normalized), so
-    the table depends only on the reconstruction the model denotes, not
-    on how magnitude is split between factors and scales.
-    """
-    return view_dimension_weights(model)
-
 
 def write_weights_csv(weights: np.ndarray, path) -> None:
-    """One row per dimension, one weight column per view."""
+    """One row per dimension, one column per view of a ``view_dimension_weights`` table."""
     num_views, num_dims = weights.shape
     header = "dimension," + ",".join(f"view_{l}" for l in range(num_views))
     lines = [header]
@@ -130,7 +120,7 @@ def pruning_report(
         "macro_f1_before": float(before.macro_f1_mean),
         "macro_f1_after": float(after.macro_f1_mean),
         "removed_dimension_correlations": correlations,
-        "eval_config": eval_config.to_dict(),
+        "eval_config": config_record(eval_config),
         "evaluation_before": before.to_dict(),
         "evaluation_after": after.to_dict(),
     }

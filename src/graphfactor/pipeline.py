@@ -25,6 +25,7 @@ import numpy as np
 from .cpals import AlsConfig, decompose, save_model
 from .dataio import (
     TEMP_SUFFIX,
+    config_record,
     load_edge_list,
     load_features,
     load_json,
@@ -34,10 +35,10 @@ from .dataio import (
     save_text,
     sha256_file,
 )
-from .embedding import EMBEDDING_SOURCES, extract_embeddings
+from .embedding import EMBEDDING_SOURCES, extract_embeddings, view_dimension_weights
 from .errors import DataError, PipelineError
 from .evaluate import EvalConfig, evaluate
-from .interpret import pruning_report, view_weights, write_weights_csv
+from .interpret import pruning_report, write_weights_csv
 from .knn import build_knn_view, save_knn_edge_list
 from .tensor import stack_views
 
@@ -83,7 +84,7 @@ class PipelineConfig:
     seed: int = AlsConfig.seed
     tol: float = AlsConfig.tol
     max_iters: int = AlsConfig.max_iters
-    train_fractions: tuple = (EvalConfig.train_fraction,)
+    train_fractions: tuple[float, ...] = (EvalConfig.train_fraction,)
     repeats: int = EvalConfig.repeats
     l2_strength: float = EvalConfig.l2_strength
     prune_threshold: float | None = None
@@ -114,27 +115,6 @@ class PipelineConfig:
                 f"embedding_source must be one of {EMBEDDING_SOURCES}, "
                 f"got {self.embedding_source!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "edges": str(self.edges),
-            "features": str(self.features),
-            "labels": None if self.labels is None else str(self.labels),
-            "k": int(self.k),
-            "rank": int(self.rank),
-            "seed": int(self.seed),
-            "tol": float(self.tol),
-            "max_iters": int(self.max_iters),
-            "train_fractions": [float(f) for f in self.train_fractions],
-            "repeats": int(self.repeats),
-            "l2_strength": float(self.l2_strength),
-            "prune_threshold": (
-                None if self.prune_threshold is None else float(self.prune_threshold)
-            ),
-            "embedding_source": self.embedding_source,
-            "init": self.init,
-            "use_knn_view": bool(self.use_knn_view),
-        }
 
 
 def default_run_root() -> Path:
@@ -171,7 +151,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             path.unlink()
 
     manifest: dict = {
-        "config": config.to_dict(),
+        "config": config_record(config),
         "inputs": {},
         "stages": [],
         "status": "running",
@@ -270,7 +250,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         details.update(reports=[r.to_dict() for r in reports], outputs=outputs)
 
     with stage("interpret") as details:
-        write_weights_csv(view_weights(model), run_dir / "weights.csv")
+        write_weights_csv(view_dimension_weights(model), run_dir / "weights.csv")
         details["weights_csv"] = "weights.csv"
         if config.prune_threshold is not None:
             # The source-A embedding was already scored at the first train

@@ -470,12 +470,17 @@ class TestModelIO:
     def test_run_record_contents(self, tmp_path):
         rng = np.random.default_rng(13)
         x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
-        config = AlsConfig(rank=2, seed=14, max_iters=10, tol=1e-12)
+        # numpy integers and an int tol, written as the types AlsConfig declares
+        config = AlsConfig(rank=np.int64(2), seed=np.uint8(14), max_iters=np.int32(10), tol=1)
         m = decompose(x, config)
         save_model(m, tmp_path / "model", config)
-        record = json.loads((tmp_path / "model" / "run.json").read_text())
+        text = (tmp_path / "model" / "run.json").read_text()
+        record = json.loads(text)
         assert record["rank"] == 2
-        assert record["config"]["seed"] == 14
+        assert record["config"] == {
+            "rank": 2, "max_iters": 10, "tol": 1.0, "seed": 14, "init": "uniform"
+        }
+        assert '"tol": 1.0' in text
         assert len(record["fit_history"]) == m.iterations
         assert set(record) == {"rank", "converged", "iterations", "fit_history", "config"}
 
@@ -484,8 +489,8 @@ class TestModelIO:
             load_model(tmp_path / "missing")
         rng = np.random.default_rng(14)
         x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
-        m = decompose(x, AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12))
-        save_model(m, tmp_path / "model")
+        config = AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12)
+        save_model(decompose(x, config), tmp_path / "model", config)
         (tmp_path / "model" / "scales.txt").write_text("1.0\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_model(tmp_path / "model")
@@ -494,8 +499,8 @@ class TestModelIO:
     def test_scales_must_be_one_finite_number_per_line(self, tmp_path, bad):
         rng = np.random.default_rng(15)
         x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
-        m = decompose(x, AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12))
-        save_model(m, tmp_path / "model")
+        config = AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12)
+        save_model(decompose(x, config), tmp_path / "model", config)
         (tmp_path / "model" / "scales.txt").write_text(f"1.0\n{bad}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"scales\.txt:2:"):
             load_model(tmp_path / "model")

@@ -5,13 +5,9 @@ import pytest
 
 from graphfactor import AlsConfig, EvalConfig, decompose, extract_embeddings
 from graphfactor.cpals import FactorModel
+from graphfactor.embedding import view_dimension_weights
 from graphfactor.evaluate import evaluate
-from graphfactor.interpret import (
-    dimension_correlation,
-    pruning_report,
-    view_weights,
-    write_weights_csv,
-)
+from graphfactor.interpret import dimension_correlation, pruning_report, write_weights_csv
 from graphfactor.tensor import Tensor3
 
 
@@ -45,7 +41,7 @@ class TestViewWeights:
             c=[[0.5, -0.05], [0.4, 0.01]],
             scales=[1.0, 1.0],
         )
-        weights = view_weights(model)
+        weights = view_dimension_weights(model)
         assert weights.shape == (2, 2)
         np.testing.assert_allclose(weights, [[0.5, 0.05], [0.4, 0.01]])
 
@@ -60,7 +56,7 @@ class TestViewWeights:
         beta = np.array([4.0, 1.0, 0.25])
         rescaled = make_model(a * alpha, b * beta, c, 1.0 / (alpha * beta))
         np.testing.assert_allclose(
-            view_weights(base), view_weights(rescaled), rtol=1e-12
+            view_dimension_weights(base), view_dimension_weights(rescaled), rtol=1e-12
         )
 
     def test_zero_view_gets_negligible_weight(self):
@@ -70,7 +66,7 @@ class TestViewWeights:
         dense = np.stack([slice0, np.zeros_like(slice0)], axis=2)
         x = Tensor3.from_dense(dense)
         model = decompose(x, AlsConfig(rank=2, max_iters=200, tol=1e-10, seed=0))
-        w = view_weights(model)
+        w = view_dimension_weights(model)
         assert w[1].max() <= 1e-6 * w[0].max()
 
     def test_csv_format(self, tmp_path):
@@ -79,7 +75,7 @@ class TestViewWeights:
             scales=[1.0, 1.0, 1.0],
         )
         path = tmp_path / "weights.csv"
-        write_weights_csv(view_weights(model), path)
+        write_weights_csv(view_dimension_weights(model), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "dimension,view_0,view_1"
         assert lines[1] == "0,0.5,1.0"
@@ -177,11 +173,13 @@ class TestPruningReport:
         model, emb, labels = self.fitted_setup()
         report = pruning_report(
             model, emb, labels, threshold=0.0,
-            eval_config=EvalConfig(repeats=3, seed=7),
+            eval_config=EvalConfig(repeats=np.int64(3), seed=7, l2_strength=2),
         )
         assert report["eval_config"] == {
-            "train_fraction": 0.5, "repeats": 3, "seed": 7, "l2_strength": 1.0,
+            "train_fraction": 0.5, "repeats": 3, "seed": 7, "l2_strength": 2.0,
         }
+        # each value has its declared type: 2.0, not 2, and a plain int for repeats
+        assert [type(v) for v in report["eval_config"].values()] == [float, int, int, float]
         with pytest.raises(TypeError, match="folds"):
             pruning_report(model, emb, labels, 0.0, eval_config=EvalConfig(folds=5))
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphfactor.cli
+import graphfactor.cpals
 import graphfactor.embedding
 import graphfactor.interpret
 import graphfactor.pipeline
@@ -233,10 +234,16 @@ class TestRunPipeline:
 
     def test_numpy_integer_settings_write_the_plain_int_bytes(self, demo_paths, tmp_path):
         plain = run_pipeline(demo_config(demo_paths, rank=4, seed=1), tmp_path / "plain")
+        paths = {name: Path(demo_paths[name]) for name in ("edges", "features", "labels")}
         numpy = run_pipeline(
-            demo_config(demo_paths, rank=np.int64(4), seed=np.int64(1)), tmp_path / "numpy"
+            demo_config(demo_paths, k=np.int64(3), rank=np.int64(4), seed=np.int64(1), **paths),
+            tmp_path / "numpy",
         )
         assert run_bytes(numpy) == run_bytes(plain)
+        config = json.loads((numpy / "manifest.json").read_text())["config"]
+        assert config["edges"] == str(demo_paths["edges"])
+        assert [type(config[name]) for name in ("edges", "labels", "k", "rank")] == [
+            str, str, int, int]
 
     def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
         for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
@@ -510,7 +517,7 @@ class TestCliFlagWiring:
 
 
 class TestCli:
-    def test_stagewise_round_trip(self, demo_paths, tmp_path):
+    def test_stagewise_round_trip(self, demo_paths, tmp_path, capsys, monkeypatch):
         knn = tmp_path / "knn.txt"
         model = tmp_path / "model"
         emb = tmp_path / "emb.txt"
@@ -520,9 +527,24 @@ class TestCli:
         recon = tmp_path / "view0.txt"
         assert main(["build-knn", "--features", str(demo_paths["features"]),
                      "--k", "3", "--out", str(knn)]) == 0
+        sweeps, fitted = [], []
+        real_step, real_decompose = graphfactor.cpals.als_step, graphfactor.cli.decompose
+        monkeypatch.setattr(graphfactor.cpals, "als_step",
+                            lambda x, m: sweeps.append(1) or real_step(x, m))
+        monkeypatch.setattr(graphfactor.cli, "decompose",
+                            lambda x, config: fitted.append(real_decompose(x, config)) or fitted[0])
+        capsys.readouterr()
         assert main(["decompose", "--adj", str(demo_paths["edges"]),
                      "--knn", str(knn), "--rank", "4", "--max-iters", "60",
                      "--tol", "1e-5", "--out", str(model)]) == 0
+        # the demo run rejects an extrapolation try, so its kept sweeps undercount
+        # the sweeps spent; the printed count is every sweep spent
+        (fit,) = fitted
+        assert fit.extrapolations_rejected >= 1
+        assert len(sweeps) == fit.iterations + fit.extrapolations_rejected
+        assert (f"after {len(sweeps)} sweeps, {fit.extrapolations_rejected} extrapolations "
+                f"rejected (converged)") in capsys.readouterr().out
+        assert json.loads((model / "run.json").read_text())["iterations"] == fit.iterations
         assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
         assert main(["evaluate", "--embeddings", str(emb),
                      "--labels", str(demo_paths["labels"]),
