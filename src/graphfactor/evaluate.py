@@ -88,11 +88,9 @@ class EvalReport:
     degenerate_label_counts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The metrics, with the split settings as ``config_record`` writes them."""
-        settings = config_record(self.config)
+        """The metrics and every setting, the settings as ``config_record`` writes them."""
         return {
-            "train_fraction": settings["train_fraction"],
-            "repeats": settings["repeats"],
+            **config_record(self.config),
             "micro_f1_mean": float(self.micro_f1_mean),
             "micro_f1_std": float(self.micro_f1_std),
             "macro_f1_mean": float(self.macro_f1_mean),

@@ -515,6 +515,26 @@ class TestCliFlagWiring:
                      "--report-out", str(tmp_path / "prune.json")]) == 0
         assert seen == [expected, expected]
 
+    def test_one_tol_default_for_the_solver_the_pipeline_and_every_als_subcommand(self):
+        parser = graphfactor.cli.build_parser()
+        dataset = ["--edges", "e", "--features", "f", "--labels", "l", "--k", "3", "--rank", "2"]
+        parsed = [
+            parser.parse_args(["decompose", "--adj", "e", "--rank", "2", "--out", "m"]).tol,
+            parser.parse_args(["run", *dataset]).tol,
+            parser.parse_args(["sweep", *dataset, "--param", "d", "--values", "2",
+                               "--out", "s.csv"]).tol,
+        ]
+        pipeline = PipelineConfig(edges="e", features="f", labels="l", k=3, rank=2)
+        assert [AlsConfig(rank=2).tol, pipeline.tol, *parsed] == [1e-5] * 5
+
+    def test_evaluate_report_records_its_seed_and_l2_strength(self, demo_paths, tmp_path):
+        emb, out = tmp_path / "emb.txt", tmp_path / "eval.json"
+        save_matrix(planted_dataset(DEMO30).features_csr().toarray(), emb)
+        assert main(["evaluate", "--embeddings", str(emb), "--labels", str(demo_paths["labels"]),
+                     "--repeats", "2", "--seed", "3", "--l2", "2.5", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"seed": 3,' in text and '"l2_strength": 2.5,' in text
+
 
 class TestCli:
     def test_stagewise_round_trip(self, demo_paths, tmp_path, capsys, monkeypatch):
