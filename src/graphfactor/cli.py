@@ -106,7 +106,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
-    missing = [
+    wrong = [
         flag
         for flag, value in (
             ("--threshold", args.threshold),
@@ -114,10 +114,11 @@ def _cmd_interpret(args) -> int:
             ("--labels", args.labels),
             ("--report-out", args.report_out),
         )
-        if args.prune_eval and value is None
+        if (value is None) == args.prune_eval
     ]
-    if missing:
-        return _usage_error(f"--prune-eval requires {', '.join(missing)}")
+    if wrong:  # all four are needed with --prune-eval and would be ignored without it
+        rule = "--prune-eval requires {}" if args.prune_eval else "{} given without --prune-eval"
+        return _usage_error(rule.format(", ".join(wrong)))
     model = load_model(args.model)
     if args.prune_eval:  # computed first, so a rejected input writes nothing
         emb = load_matrix(args.embeddings)

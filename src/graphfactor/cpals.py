@@ -273,7 +273,6 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
     ``_solve_gram``). Every loaded OpenBLAS runs on one thread until this
     returns.
     """
-    config.validate()
     if x.nnz == 0:
         raise ValueError("cannot decompose a tensor with no nonzero entries")
     model = init_factors(x.dims, config)

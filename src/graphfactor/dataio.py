@@ -47,9 +47,7 @@ class Graph:
 
     def to_csr(self) -> sp.csr_matrix:
         """Symmetric binary adjacency matrix with zero diagonal."""
-        if not self.edges:
-            return sp.csr_matrix((self.num_nodes, self.num_nodes))
-        pairs = np.array(sorted(self.edges), dtype=np.int64)
+        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         vals = np.ones(rows.shape[0])

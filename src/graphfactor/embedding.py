@@ -4,7 +4,7 @@ Embedding rows come from the node factors with the per-component scales
 multiplied back in, so column magnitudes reflect how much each component
 contributes to the reconstruction. A component's weight is its largest
 absolute scale-weighted view coefficient; pruning drops components whose
-weight falls below a threshold.
+weight falls below a threshold, in every copy an embedding holds.
 """
 
 from __future__ import annotations
@@ -58,28 +58,26 @@ def extract_embeddings(model: FactorModel, source: str = "A") -> np.ndarray:
 def prune_dimensions(
     emb: np.ndarray, model: FactorModel, threshold: float
 ) -> tuple[np.ndarray, list[int]]:
-    """Drop embedding columns whose component weight is below threshold.
+    """Drop the embedding columns of every component whose weight is below threshold.
 
-    Surviving columns keep their original order. Pruning an
-    already-pruned embedding with the same threshold is a no-op.
+    ``emb`` holds whole copies of the model's components side by side (one
+    for source A or B, two for A-concat-B), so its width must be a multiple
+    of the rank; a removed component loses its column in every copy.
+    Returns the pruned embedding, surviving columns in their original order,
+    and the removed column ids: component r of copy c is column
+    ``c * rank + r``, so for one copy they are the component ids.
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    weights = dimension_weights(model)
-    removed = [r for r in range(model.rank) if weights[r] < threshold]
-    dim = emb.shape[1]
-    if dim == model.rank - len(removed) and dim != model.rank:
-        return emb, []
-    if dim != model.rank:
+    rank, dim = model.rank, emb.shape[1]
+    if dim % rank:
+        raise ValueError(f"embedding dim {dim} is not a multiple of model rank {rank}")
+    below = np.tile(dimension_weights(model) < threshold, dim // rank)
+    if below.all():
         raise ValueError(
-            f"embedding dim {dim} does not match model rank {model.rank}"
-        )
-    if len(removed) == model.rank:
-        raise ValueError(
-            f"threshold {threshold} removes all {model.rank} dimensions; "
+            f"threshold {threshold} removes all {rank} dimensions; "
             "the embedding would be empty"
         )
-    if not removed:
+    if not below.any():
         return emb, []
-    kept = [r for r in range(model.rank) if weights[r] >= threshold]
-    return np.ascontiguousarray(emb[:, kept]), removed
+    return np.ascontiguousarray(emb[:, ~below]), np.flatnonzero(below).tolist()

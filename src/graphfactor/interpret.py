@@ -80,15 +80,15 @@ def pruning_report(
 ) -> dict:
     """Classification quality before vs. after pruning, same seeds.
 
-    ``emb`` must be the unpruned source-A embedding of ``model``; both
-    embeddings are evaluated under ``eval_config``, and a threshold that
+    ``emb`` is an unpruned embedding of ``model`` from any source; both
+    embeddings are evaluated under ``eval_config``, and what
     ``prune_dimensions`` rejects is rejected before either evaluation.
     ``before``, when given, is that embedding's evaluation under
     ``eval_config``, already computed by the caller; it is used in place
     of evaluating again, and a report made under any other config is
-    rejected. The report embeds the removed dimensions, both evaluation
-    summaries, the Micro-F1 delta, and per-removed-dimension correlations
-    when computable.
+    rejected. The report embeds the removed embedding columns, the column
+    counts before and after, both evaluation summaries, the Micro-F1
+    delta, and per-removed-column correlations when computable.
     """
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
     if before is None:

@@ -107,24 +107,15 @@ def mttkrp(x: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     ``f1`` and ``f2`` are the factors of the two non-target modes in
     ascending mode order; the result equals the mode-``mode``
     matricization times the Khatri-Rao product (f2 column-wise-Kron f1),
-    computed from the sparse slices without forming either product.
-    Modes 1 and 2 both start from ``slice_products(x, f1)``.
+    computed from the sparse slices without forming either product; every
+    mode ends in ``mttkrp_from_products``.
     """
     if mode not in (0, 1, 2):
         raise ValueError(f"mode must be 0, 1, or 2, got {mode}")
-    i_dim, j_dim, l_dim = x.dims
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    other_rows = {0: (j_dim, l_dim), 1: (i_dim, l_dim), 2: (i_dim, j_dim)}[mode]
-    _check_factor("f1", f1, other_rows[0], None)
-    _check_factor("f2", f2, other_rows[1], f1.shape[1])
-    rank = f1.shape[1]
-
     if mode == 0:
-        out = np.zeros((i_dim, rank))
-        for l, s in enumerate(x.slices):
-            out += (s @ f1) * f2[l]
-        return out
+        f1 = np.asarray(f1, dtype=np.float64)
+        _check_factor("f1", f1, x.dims[1], None)
+        return mttkrp_from_products(tuple(s @ f1 for s in x.slices), f2, 1)
     return mttkrp_from_products(slice_products(x, f1), f2, mode)
 
 
@@ -149,7 +140,7 @@ def mttkrp_from_products(products, f2: np.ndarray, mode: int) -> np.ndarray:
     Equal to ``mttkrp(x, f1, f2, mode)``: ``f2`` is the view factor for
     mode 1 (the result is sum_l products[l] * f2[l]) and the second node
     factor for mode 2 (row l of the result is the column sums of
-    f2 * products[l]).
+    f2 * products[l]). Mode 1 of the products S_l f1 is the mode-0 MTTKRP.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")

@@ -64,6 +64,11 @@ class TestLoadEdgeList:
         assert np.all(np.diag(adj) == 0)
         assert adj.sum() == 4  # each undirected edge stored twice
 
+    def test_edgeless_graph_is_an_empty_csr_matrix(self):
+        adj = Graph(3, frozenset()).to_csr()
+        assert adj.format == "csr" and adj.shape == (3, 3)
+        assert adj.dtype == np.float64 and adj.nnz == 0
+
     @pytest.mark.parametrize(
         "line",
         ["0", "0 1 2", "a 1", "0 b", "-1 2", "1 -2"],

@@ -108,18 +108,41 @@ class TestPruneDimensions:
         with pytest.raises(ValueError):
             prune_dimensions(emb, m, 0.5)
 
-    def test_idempotent(self):
+    def test_already_pruned_embedding_rejected(self):
         rng = np.random.default_rng(5)
         m = model_from(
             unit_cols(rng, 5, 3), unit_cols(rng, 5, 3),
             [[0.8, 0.05, 0.6], [0.7, 0.02, 0.5]], np.ones(3),
         )
-        emb = extract_embeddings(m)
-        once, removed = prune_dimensions(emb, m, 0.12)
+        once, removed = prune_dimensions(extract_embeddings(m), m, 0.12)
         assert removed == [1]
-        twice, removed_again = prune_dimensions(once, m, 0.12)
-        assert removed_again == []
-        assert np.array_equal(twice, once)
+        with pytest.raises(ValueError, match="dim 2 is not a multiple of model rank 3"):
+            prune_dimensions(once, m, 0.12)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 5, 7])
+    def test_width_not_a_multiple_of_rank_rejected(self, width):
+        rng = np.random.default_rng(10)
+        m = model_from(
+            unit_cols(rng, 5, 3), unit_cols(rng, 5, 3),
+            [[0.8, 0.05, 0.6], [0.7, 0.02, 0.5]], np.ones(3),
+        )
+        emb = rng.standard_normal((5, width))
+        with pytest.raises(ValueError, match="not a multiple of model rank 3"):
+            prune_dimensions(emb, m, 0.12)
+
+    def test_concat_prunes_the_component_in_both_copies(self):
+        rng = np.random.default_rng(11)
+        m = model_from(
+            unit_cols(rng, 6, 4), unit_cols(rng, 6, 4),
+            [[0.9, 0.05, 0.4, 0.01], [0.8, 0.03, 0.3, 0.02]], rng.random(4) + 0.5,
+        )
+        pruned_a, removed_a = prune_dimensions(extract_embeddings(m, "A"), m, 0.12)
+        pruned_b, removed_b = prune_dimensions(extract_embeddings(m, "B"), m, 0.12)
+        pruned, removed = prune_dimensions(extract_embeddings(m, "A-concat-B"), m, 0.12)
+        assert removed_a == removed_b == [1, 3]
+        assert removed == [1, 3, 5, 7]
+        assert np.array_equal(pruned, np.hstack([pruned_a, pruned_b]))
+        assert pruned.flags.c_contiguous
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)

@@ -26,6 +26,7 @@ from graphfactor import (
 from graphfactor.cli import main
 from graphfactor.cpals import load_model
 from graphfactor.dataio import load_matrix, save_matrix, sha256_file
+from graphfactor.embedding import dimension_weights
 from graphfactor.interpret import pruning_report
 from graphfactor.pipeline import STAGE_NAMES, SweepResult, config_from, default_run_root, sweep
 from synthdata import DEMO30, planted_dataset, write_dataset
@@ -627,6 +628,40 @@ class TestCli:
         assert code == 1
         assert "--prune-eval requires" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+    def test_interpret_rejects_flags_it_would_ignore(self, demo_paths, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]),
+                     "--rank", "2", "--max-iters", "20", "--tol", "1e-4",
+                     "--out", str(model)]) == 0
+        code = main(["interpret", "--model", str(model), "--threshold", "0.1",
+                     "--labels", str(demo_paths["labels"]), "--out", str(tmp_path / "w.csv")])
+        assert code == 1
+        assert "--threshold, --labels given without --prune-eval" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_concat_embedding_prunes_in_embed_and_interpret(self, demo_paths, tmp_path):
+        model, full, pruned = tmp_path / "model", tmp_path / "full.txt", tmp_path / "pruned.txt"
+        report = tmp_path / "prune.json"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "4",
+                     "--max-iters", "20", "--out", str(model)]) == 0
+        weights = np.sort(dimension_weights(load_model(model)))
+        threshold = str((weights[1] + weights[2]) / 2)  # removes two of the four components
+        assert main(["embed", "--model", str(model), "--source", "A-concat-B",
+                     "--prune-threshold", threshold, "--out", str(pruned)]) == 0
+        assert main(["embed", "--model", str(model), "--source", "A-concat-B",
+                     "--out", str(full)]) == 0
+        assert main(["interpret", "--model", str(model), "--threshold", threshold,
+                     "--out", str(tmp_path / "w.csv"), "--prune-eval", "--embeddings", str(full),
+                     "--labels", str(demo_paths["labels"]), "--repeats", "2",
+                     "--report-out", str(report)]) == 0
+        got = json.loads(report.read_text())
+        removed = got["removed_dimensions"]
+        assert len(removed) == 4 and removed[2:] == [r + 4 for r in removed[:2]]
+        assert (got["dims_before"], got["dims_after"]) == (8, 4)
+        assert [c["dimension"] for c in got["removed_dimension_correlations"]] == removed
+        assert load_matrix(pruned).shape == (30, 4)
+        assert np.array_equal(load_matrix(pruned), np.delete(load_matrix(full), removed, axis=1))
 
     def test_interpret_rejects_nan_threshold_before_any_write_or_evaluation(
         self, demo_paths, tmp_path, capsys, monkeypatch
