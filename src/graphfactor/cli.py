@@ -36,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+_EVAL_FLAGS = {"train_fraction": "--train-fraction", "repeats": "--repeats", "seed": "--seed",
+               "l2_strength": "--l2"}  # interpret takes these only with --prune-eval
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +118,16 @@ def _cmd_interpret(args) -> int:
         )
         if (value is None) == args.prune_eval
     ]
-    if wrong:  # all four are needed with --prune-eval and would be ignored without it
+    given = {name: value for name, value in vars(args).items() if name in _EVAL_FLAGS}
+    wrong += [_EVAL_FLAGS[name] for name in given if not args.prune_eval]
+    if wrong:  # every flag named is ignored without --prune-eval, the first four needed with it
         rule = "--prune-eval requires {}" if args.prune_eval else "{} given without --prune-eval"
         return _usage_error(rule.format(", ".join(wrong)))
     model = load_model(args.model)
     if args.prune_eval:  # computed first, so a rejected input writes nothing
         emb = load_matrix(args.embeddings)
         labels = load_labels(args.labels, num_nodes=emb.shape[0])
-        report = pruning_report(model, emb, labels, args.threshold, config_from(EvalConfig, args))
+        report = pruning_report(model, emb, labels, args.threshold, EvalConfig(**given))
     weights = view_dimension_weights(model)
     write_weights_csv(weights, args.out)
     print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")
@@ -196,11 +200,11 @@ def _add_als_args(parser) -> None:
     parser.add_argument("--init", choices=INIT_CHOICES, default=AlsConfig.init)
 
 
-def _add_eval_args(parser) -> None:
-    parser.add_argument("--train-fraction", type=float, default=EvalConfig.train_fraction)
-    parser.add_argument("--repeats", type=int, default=EvalConfig.repeats)
-    parser.add_argument("--seed", type=int, default=EvalConfig.seed)
-    parser.add_argument("--l2", type=float, default=EvalConfig.l2_strength, dest="l2_strength",
+def _add_eval_args(parser, defaults=EvalConfig()) -> None:
+    parser.add_argument("--train-fraction", type=float, default=defaults.train_fraction)
+    parser.add_argument("--repeats", type=int, default=defaults.repeats)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--l2", type=float, default=defaults.l2_strength, dest="l2_strength",
                         metavar="L2")
 
 
@@ -250,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prune-eval", action="store_true")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--labels", default=None)
-    _add_eval_args(p)
+    _add_eval_args(p, argparse.Namespace(**dict.fromkeys(_EVAL_FLAGS, argparse.SUPPRESS)))
     p.add_argument("--report-out", default=None)
     p.set_defaults(handler=_cmd_interpret)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +33,32 @@ __all__ = [
 TEMP_SUFFIX = ".tmp"  # save_text writes <target><TEMP_SUFFIX>, then renames it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph; edges stored as canonical (min, max) pairs."""
+    """Undirected graph. ``edges`` takes any collection of node-id pairs and
+    keeps the (m, 2) int64 array of their distinct (min, max) forms in
+    ascending order; self-loops are dropped and counted in ``self_loops_dropped``.
+    An id outside [0, num_nodes) raises ValueError."""
 
     num_nodes: int
-    edges: frozenset
-    self_loops_dropped: int = 0
+    edges: np.ndarray
+    self_loops_dropped: int = field(init=False)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def __post_init__(self):
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        pairs, n = np.asarray(edges, dtype=np.int64).reshape(-1, 2), self.num_nodes
+        if not ((pairs >= 0) & (pairs < n)).all():  # also keeps lo * n + hi one-to-one
+            raise ValueError(f"edge list names a node id outside [0, {n})")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = np.sort((lo * n + hi)[lo != hi])  # np.unique sorts as well, but far slower
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        object.__setattr__(self, "edges", np.column_stack([keys // n, keys % n]))
+        object.__setattr__(self, "self_loops_dropped", int((lo == hi).sum()))
 
     def to_csr(self) -> sp.csr_matrix:
         """Symmetric binary adjacency matrix with zero diagonal."""
-        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
         vals = np.ones(rows.shape[0])
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
         return mat.tocsr()
@@ -132,18 +141,16 @@ def parse_records(path, records, usage: str, kinds: str, default: str | None = N
 
 
 def load_edge_list(path) -> Graph:
-    """Parse an undirected edge list ("u v" per line).
+    """Parse an undirected edge list ("u v" per line) into a Graph.
 
-    Duplicate edges are deduplicated and self-loops dropped (counted on
-    the returned Graph). The node count is 1 + the largest id.
+    The Graph keeps each edge once and drops and counts self-loops. The node
+    count is 1 + the largest id; a list of self-loops alone raises DataError.
     """
     u, v = parse_records(path, read_records(path), "u v", "ii")
-    kept = u != v
-    edges = frozenset(zip(np.minimum(u, v)[kept].tolist(), np.maximum(u, v)[kept].tolist()))
-    if not edges:
+    graph = Graph(num_nodes=int(max(u.max(), v.max())) + 1, edges=np.column_stack([u, v]))
+    if not graph.edges.size:
         raise DataError(f"{path}: edge list has no edges besides self-loops")
-    return Graph(num_nodes=int(max(u.max(), v.max())) + 1, edges=edges,
-                 self_loops_dropped=int(u.size - kept.sum()))
+    return graph
 
 
 def load_features(path) -> sp.csr_matrix:

@@ -201,7 +201,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             num_nodes=num_nodes,
             views=l_dim,
             nnz=tensor.nnz,
-            undirected_edges=graph.num_edges,
+            undirected_edges=len(graph.edges),
             self_loops_dropped=graph.self_loops_dropped,
         )
 

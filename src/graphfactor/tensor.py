@@ -8,7 +8,6 @@ keeps the dominant contraction (MTTKRP) at O(nnz * rank).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,18 +76,17 @@ def stack_views(graph: Graph, knn) -> Tensor3:
     sparse matrix. Passing ``knn=None`` builds the single-view tensor
     used for adjacency-only ablations. A node that only one view names
     (features past the edge list's largest id, or the reverse) is added
-    to the other view as an isolated node, so both views span the larger
-    node count.
+    to the other view as an isolated node: both views are resized, with
+    empty rows and columns, to the larger node count.
     """
     if knn is None:
         return Tensor3.from_slices([graph.to_csr()])
     z = knn.to_csr() if isinstance(knn, KnnView) else sp.csr_matrix(knn)
     if z.shape[0] != z.shape[1]:
         raise ValueError(f"K-NN view must be square, got {z.shape[0]}x{z.shape[1]}")
-    num_nodes = max(graph.num_nodes, z.shape[0])
-    if z.shape[0] != num_nodes:
-        z.resize((num_nodes, num_nodes))
-    adj = dataclasses.replace(graph, num_nodes=num_nodes).to_csr()
+    num_nodes, adj = max(graph.num_nodes, z.shape[0]), graph.to_csr()
+    for view in (adj, z):
+        view.resize((num_nodes, num_nodes))
     return Tensor3.from_slices([adj, z])
 
 

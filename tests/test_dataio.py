@@ -1,5 +1,6 @@
 """File-format loaders/writers: parsing rules, validation, round trips."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +47,14 @@ class TestLoadEdgeList:
         p = write(tmp_path, "e.txt", "0 1\n2 1\n1 2\n# comment\n\n3 0\n")
         g = load_edge_list(p)
         assert g.num_nodes == 4
-        assert g.edges == frozenset({(0, 1), (1, 2), (0, 3)})
-        assert g.num_edges == 3
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
 
     def test_self_loops_dropped_and_counted(self, tmp_path):
         p = write(tmp_path, "e.txt", "0 0\n0 1\n2 2\n")
         g = load_edge_list(p)
         assert g.self_loops_dropped == 2
-        assert g.edges == frozenset({(0, 1)})
+        assert g.edges.tolist() == [[0, 1]]
         # self-loop ids still extend the node range
         assert g.num_nodes == 3
 
@@ -68,6 +69,20 @@ class TestLoadEdgeList:
         adj = Graph(3, frozenset()).to_csr()
         assert adj.format == "csr" and adj.shape == (3, 3)
         assert adj.dtype == np.float64 and adj.nnz == 0
+
+    def test_loaded_graph_holds_sixteen_bytes_per_edge(self, tmp_path):
+        # Two int64 ids per edge; a set of Python int tuples held about 160 bytes.
+        rng = np.random.default_rng(21)
+        p = tmp_path / "e.txt"
+        np.savetxt(p, rng.integers(20_000, size=(200_000, 2)), fmt="%d")
+        tracemalloc.start()
+        try:
+            g = load_edge_list(p)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.99 * 200_000 < len(g.edges) <= 200_000
+        assert held <= 32 * 200_000
 
     @pytest.mark.parametrize(
         "line",
@@ -87,6 +102,32 @@ class TestLoadEdgeList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_edge_list(tmp_path / "absent.txt")
+
+
+class TestGraph:
+    def test_reversed_pair_is_one_binary_edge(self):
+        g = Graph(3, frozenset({(0, 1), (1, 0)}))
+        adj = g.to_csr()
+        assert len(g.edges) == 1
+        assert adj.nnz == 2 and set(adj.data.tolist()) == {1.0}
+
+    def test_self_loop_dropped_and_counted(self):
+        g = Graph(3, frozenset({(1, 1), (0, 2)}))
+        assert g.self_loops_dropped == 1
+        assert not g.to_csr().diagonal().any()
+        assert g.edges.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("pair", [(0, 5), (3, 0), (-1, 2)])
+    def test_id_outside_the_node_range_rejected(self, pair):
+        with pytest.raises(ValueError):
+            Graph(3, frozenset({pair}))
+
+    def test_array_and_set_inputs_agree(self):
+        pairs = [(4, 2), (2, 4), (0, 3), (1, 1), (0, 3), (3, 1)]
+        from_array = Graph(5, np.array(pairs))
+        from_set = Graph(5, frozenset(pairs))
+        assert np.array_equal(from_array.edges, from_set.edges)
+        assert from_array.edges.tolist() == [[0, 3], [1, 3], [2, 4]]
 
 
 # --------------------------------------------------------------- features
@@ -272,7 +313,10 @@ def _load_scales(path):
 
 # Format name: file name, loader, four valid records, a malformed record.
 FORMATS = {
-    "edges": ("e.txt", load_edge_list, ["0 1", "1 2", "2 0", "3 1"], "2 x"),
+    "edges": (
+        "e.txt", lambda p: load_edge_list(p).to_csr().toarray(),
+        ["0 1", "1 2", "2 0", "3 1"], "2 x",
+    ),
     "features": (
         "f.txt", lambda p: load_features(p).toarray(),
         ["0 0", "0 2 0.5", "1 1 2.0", "2 0"], "1 1 -2.0",
@@ -361,7 +405,9 @@ class TestProperties:
                 load_edge_list(p)
             return
         loops = sum(a == b for a, b in pairs)
-        assert load_edge_list(p) == Graph(num_nodes=n, edges=edges, self_loops_dropped=loops)
+        g = load_edge_list(p)
+        assert (g.num_nodes, g.edges.tolist(), g.self_loops_dropped) == (
+            n, [list(e) for e in sorted(edges)], loops)
 
     @PROPERTY_SETTINGS
     @given(arr=_finite_matrices())

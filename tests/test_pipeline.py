@@ -640,6 +640,28 @@ class TestCli:
         assert "--threshold, --labels given without --prune-eval" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_interpret_takes_evaluation_flags_only_with_prune_eval(self, demo_paths, tmp_path,
+                                                                   capsys):
+        model, emb = tmp_path / "model", tmp_path / "emb.txt"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "2",
+                     "--max-iters", "20", "--out", str(model)]) == 0
+        assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
+        code = main(["interpret", "--model", str(model), "--out", str(tmp_path / "w.csv"),
+                     "--repeats", "7", "--seed", "9"])
+        assert code == 1
+        assert "--repeats, --seed given without --prune-eval" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+        prune = ["interpret", "--model", str(model), "--threshold", "0.1", "--prune-eval",
+                 "--embeddings", str(emb), "--labels", str(demo_paths["labels"])]
+        for flags, want in (([], EvalConfig()),
+                            (["--train-fraction", "0.6", "--repeats", "2", "--seed", "9",
+                              "--l2", "2.5"], EvalConfig(0.6, 2, 9, 2.5))):
+            report = tmp_path / f"prune{len(flags)}.json"
+            assert main(prune + flags + ["--out", str(tmp_path / "w.csv"),
+                                         "--report-out", str(report)]) == 0
+            got = json.loads(report.read_text())["evaluation_before"]
+            assert {k: got[k] for k in dataclasses.asdict(want)} == dataclasses.asdict(want)
+
     def test_concat_embedding_prunes_in_embed_and_interpret(self, demo_paths, tmp_path):
         model, full, pruned = tmp_path / "model", tmp_path / "full.txt", tmp_path / "pruned.txt"
         report = tmp_path / "prune.json"
