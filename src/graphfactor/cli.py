@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PipelineError, NumericalError, DataError, ValueError) as exc:
+    except (PipelineError, NumericalError, DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.cause if isinstance(exc, PipelineError) else exc
         return EXIT_NUMERICAL if isinstance(cause, NumericalError) else EXIT_DATA

@@ -90,6 +90,7 @@ def read_records(path) -> tuple:
         lines = ["" if line.lstrip().startswith("#") else line for line in lines]
         text = "\n".join(lines)
     widths = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    del lines  # so the lines and the tokens are never held at once
     line_nos = np.flatnonzero(widths) + 1
     if not line_nos.size:
         raise DataError(f"{path}: no records (the file is empty or only comments)")

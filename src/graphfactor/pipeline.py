@@ -253,24 +253,16 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         write_weights_csv(view_dimension_weights(model), run_dir / "weights.csv")
         details["weights_csv"] = "weights.csv"
         if config.prune_threshold is not None:
-            # The source-A embedding was already scored at the first train
-            # fraction by the evaluate stage; other sources score it here.
-            before = None
-            if config.embedding_source == "A":
-                emb_a = emb
-                before = reports[0]
-            else:
-                emb_a = extract_embeddings(model, "A")
             report = pruning_report(
                 model,
-                emb_a,
+                emb,
                 labels,
                 config.prune_threshold,
                 config.eval_config(config.train_fractions[0]),
-                before=before,
+                before=reports[0],
             )
             save_json(report, run_dir / "pruning_report.json")
-            pruned_emb = np.delete(emb_a, report["removed_dimensions"], axis=1)
+            pruned_emb = np.delete(emb, report["removed_dimensions"], axis=1)
             save_matrix(pruned_emb, run_dir / "embeddings_pruned.txt")
             details["pruning_report"] = report
             details["pruned_embeddings"] = "embeddings_pruned.txt"

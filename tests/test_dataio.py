@@ -84,6 +84,19 @@ class TestLoadEdgeList:
         assert 0.99 * 200_000 < len(g.edges) <= 200_000
         assert held <= 32 * 200_000
 
+    def test_parse_peak_stays_under_two_hundred_bytes_per_edge(self, tmp_path):
+        # The text and the tokens are held together, but never with the lines too.
+        rng = np.random.default_rng(22)
+        p = tmp_path / "e.txt"
+        np.savetxt(p, rng.integers(20_000, size=(200_000, 2)), fmt="%d")
+        tracemalloc.start()
+        try:
+            load_edge_list(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 200_000
+
     @pytest.mark.parametrize(
         "line",
         ["0", "0 1 2", "a 1", "0 b", "-1 2", "1 -2"],

@@ -323,7 +323,14 @@ class TestRunPipeline:
 class TestPruningReportReuse:
     THRESHOLD = 3.4  # removes one of the four demo dimensions
 
-    @pytest.mark.parametrize("source", ["A", "B"])
+    SOURCES = ["A", "B", "A-concat-B"]
+
+    @staticmethod
+    def copies(source):
+        """Whole copies of the components the source's embedding holds."""
+        return 2 if source == "A-concat-B" else 1
+
+    @pytest.mark.parametrize("source", SOURCES)
     def test_report_equals_a_standalone_call(self, demo_paths, tmp_path, source):
         config = demo_config(demo_paths, prune_threshold=self.THRESHOLD,
                              train_fractions=(0.3, 0.6), embedding_source=source)
@@ -331,15 +338,15 @@ class TestPruningReportReuse:
         model = load_model(run_dir / "model")
         standalone = pruning_report(
             model,
-            extract_embeddings(model, "A"),
+            extract_embeddings(model, source),
             load_labels(demo_paths["labels"], num_nodes=30),
             self.THRESHOLD,
             eval_config=EvalConfig(train_fraction=0.3, repeats=3, seed=0, l2_strength=1.0),
         )
-        assert len(standalone["removed_dimensions"]) == 1
+        assert len(standalone["removed_dimensions"]) == self.copies(source)
         assert json.loads((run_dir / "pruning_report.json").read_text()) == standalone
 
-    @pytest.mark.parametrize("source", ["A", "B"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_one_pruning_per_run(self, demo_paths, tmp_path, monkeypatch, source):
         calls = []
         original = graphfactor.embedding.prune_dimensions
@@ -357,11 +364,13 @@ class TestPruningReportReuse:
         run_dir = run_pipeline(config, tmp_path / "run")
         assert len(calls) == 1
         model = load_model(run_dir / "model")
-        want, removed = original(extract_embeddings(model, "A"), model, self.THRESHOLD)
-        assert len(removed) == 1
+        want, removed = original(extract_embeddings(model, source), model, self.THRESHOLD)
+        assert len(removed) == self.copies(source)
         assert np.array_equal(load_matrix(run_dir / "embeddings_pruned.txt"), want)
 
-    def test_source_a_reuses_the_first_evaluation(self, demo_paths, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_source_reuses_the_first_evaluation(self, demo_paths, tmp_path, monkeypatch,
+                                                      source):
         calls = []
         evaluate = graphfactor.interpret.evaluate
 
@@ -371,7 +380,7 @@ class TestPruningReportReuse:
 
         monkeypatch.setattr(graphfactor.interpret, "evaluate", counting_evaluate)
         config = demo_config(demo_paths, prune_threshold=self.THRESHOLD,
-                             train_fractions=(0.3, 0.6))
+                             train_fractions=(0.3, 0.6), embedding_source=source)
         run_dir = run_pipeline(config, tmp_path / "run")
         report = json.loads((run_dir / "pruning_report.json").read_text())
         first = json.loads((run_dir / "eval_train_0p3.json").read_text())
@@ -741,6 +750,21 @@ class TestCli:
         code = main(["decompose", "--adj", str(bad), "--rank", "2",
                      "--out", str(tmp_path / "m")])
         assert code == 2
+
+    def test_unwritable_outputs_exit_two(self, demo_paths, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "2",
+                     "--max-iters", "20", "--out", str(model)]) == 0
+        missing = tmp_path / "missing"
+        for argv in (
+            ["build-knn", "--features", str(demo_paths["features"]), "--k", "3",
+             "--out", str(missing / "knn.txt")],
+            ["embed", "--model", str(model), "--out", str(missing / "emb.txt")],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
+            assert not missing.exists()
 
     def test_run_without_labels_exits_two(self, demo_paths, tmp_path, capsys):
         code = main([
