@@ -96,7 +96,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     emb = load_matrix(args.embeddings)
-    labels = load_labels(args.labels, num_nodes=emb.shape[0])
+    labels = load_labels(args.labels)
     report = evaluate(emb, labels, config_from(EvalConfig, args))
     save_json(report.to_dict(), args.out)
     print(
@@ -126,7 +126,7 @@ def _cmd_interpret(args) -> int:
     model = load_model(args.model)
     if args.prune_eval:  # computed first, so a rejected input writes nothing
         emb = load_matrix(args.embeddings)
-        labels = load_labels(args.labels, num_nodes=emb.shape[0])
+        labels = load_labels(args.labels)
         report = pruning_report(model, emb, labels, args.threshold, EvalConfig(**given))
     weights = view_dimension_weights(model)
     write_weights_csv(weights, args.out)

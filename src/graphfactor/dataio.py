@@ -166,30 +166,18 @@ def load_features(path) -> sp.csr_matrix:
         path, read_records(path), "node feature [value]", "iiw", default="1"
     )
     kept = vals != 0.0
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (vals[kept], (nodes[kept], feats[kept])),
         shape=(int(nodes.max()) + 1, int(feats.max()) + 1),
     ).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
 
 
-def load_labels(path, num_nodes: int | None = None) -> np.ndarray:
-    """Parse node labels ("node label" per line, multi-label allowed).
-
-    Returns a boolean node-by-label matrix; a row with no True entry is
-    an unlabeled node. ``num_nodes`` defaults to 1 + the largest node id;
-    a label on a node at or above a given count raises DataError. The
-    label count is 1 + the largest label id.
-    """
+def load_labels(path) -> np.ndarray:
+    """Parse node labels ("node label" per line, multi-label allowed) into a
+    boolean node-by-label matrix sized 1 + the largest ids; a row with no
+    True entry is an unlabeled node. ``evaluate`` checks that it fits an embedding."""
     nodes, labels = parse_records(path, read_records(path), "node label", "ii")
-    max_node = int(nodes.max())
-    if num_nodes is None:
-        num_nodes = max_node + 1
-    elif max_node >= num_nodes:
-        raise DataError(f"{path}: node id {max_node} exceeds declared node count {num_nodes}")
-    matrix = np.zeros((num_nodes, int(labels.max()) + 1), dtype=bool)
+    matrix = np.zeros((int(nodes.max()) + 1, int(labels.max()) + 1), dtype=bool)
     matrix[nodes, labels] = True
     return matrix
 

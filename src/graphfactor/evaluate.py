@@ -304,7 +304,9 @@ def stratified_split(
 def evaluate(
     emb: np.ndarray, labels: np.ndarray, config: EvalConfig = EvalConfig()
 ) -> EvalReport:
-    """Repeated stratified-split evaluation of boolean node labels; deterministic in the seed."""
+    """Repeated stratified-split evaluation of boolean node labels; deterministic in the seed.
+    ``labels`` may stop short of the embedding's rows (unlabeled trailing nodes);
+    a label on a node past the last row raises ValueError."""
     config.validate()
     labeled = np.flatnonzero(labels.any(axis=1))
     if labeled.size < 2:

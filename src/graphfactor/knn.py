@@ -164,6 +164,5 @@ def load_directed_edge_list(path) -> sp.csr_matrix:
     rows, cols = parse_records(path, read_records(path), "u v", "ii")
     n = int(max(rows.max(), cols.max())) + 1
     mat = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
     mat.data[:] = 1.0
     return mat

@@ -238,7 +238,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
                 "no labels file configured; the evaluate stage requires labels"
             )
         record_input("labels", config.labels)
-        labels = load_labels(config.labels, num_nodes=num_nodes)
+        labels = load_labels(config.labels)
         reports = []
         outputs = []
         for fraction in config.train_fractions:

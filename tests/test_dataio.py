@@ -158,6 +158,7 @@ class TestLoadFeatures:
         f = load_features(p)
         assert entries(f) == [(0, 0, 2.0), (1, 0, 1.0)]
         assert f.nnz == 2
+        assert f.has_canonical_format
 
     def test_zero_only_rows_keep_node_range(self, tmp_path):
         p = write(tmp_path, "f.txt", "0 0\n3 1 0.0\n")
@@ -198,13 +199,12 @@ class TestLoadLabels:
         assert load_labels(p).tolist() == [[False, True]]
 
     def test_declared_bounds(self, tmp_path):
-        p = write(tmp_path, "l.txt", "0 1\n")
-        labels = load_labels(p, num_nodes=5)
+        # sized 1 + the largest ids, as every loader sizes its output
+        p = write(tmp_path, "l.txt", "3 1\n")
+        labels = load_labels(p)
         assert labels.dtype == np.bool_
-        assert labels.shape == (5, 2)
-        assert labels.tolist() == [[False, True]] + [[False, False]] * 4
-        with pytest.raises(DataError):
-            load_labels(p, num_nodes=0)
+        assert labels.shape == (4, 2)
+        assert labels.tolist() == [[False, False]] * 3 + [[False, True]]
 
     @pytest.mark.parametrize("line", ["0", "0 1 2", "a 0", "0 -1"])
     def test_malformed_lines(self, tmp_path, line):

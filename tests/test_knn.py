@@ -260,3 +260,4 @@ class TestEdgeListRoundTrip:
         assert mat[0, 1] == 1.0
         assert mat[1, 0] == 1.0
         assert mat.nnz == 2
+        assert mat.has_canonical_format

@@ -313,6 +313,15 @@ class TestRunPipeline:
         for name in ("A.txt", "B.txt", "C.txt", "scales.txt", "run.json"):
             assert (model / name).read_bytes() == (run_dir / "model" / name).read_bytes()
 
+        emb, report, weights = tmp_path / "emb.txt", tmp_path / "eval.json", tmp_path / "w.csv"
+        assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
+        assert main(["evaluate", "--embeddings", str(emb), "--labels", config.labels,
+                     "--repeats", "2", "--out", str(report)]) == 0
+        assert main(["interpret", "--model", str(model), "--out", str(weights)]) == 0
+        for run_name, stage_out in (("embeddings.txt", emb), ("eval_train_0p5.json", report),
+                                    ("weights.csv", weights)):
+            assert stage_out.read_bytes() == (run_dir / run_name).read_bytes()
+
     def test_default_run_root_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GRAPHFACTOR_RUNS", str(tmp_path / "elsewhere"))
         assert default_run_root() == tmp_path / "elsewhere"
@@ -339,7 +348,7 @@ class TestPruningReportReuse:
         standalone = pruning_report(
             model,
             extract_embeddings(model, source),
-            load_labels(demo_paths["labels"], num_nodes=30),
+            load_labels(demo_paths["labels"]),
             self.THRESHOLD,
             eval_config=EvalConfig(train_fraction=0.3, repeats=3, seed=0, l2_strength=1.0),
         )
@@ -750,6 +759,26 @@ class TestCli:
         code = main(["decompose", "--adj", str(bad), "--rank", "2",
                      "--out", str(tmp_path / "m")])
         assert code == 2
+
+        # a label past the embedding's rows: evaluate's check, not the loader's
+        model, emb = tmp_path / "model", tmp_path / "emb.txt"
+        assert main(["decompose", "--adj", str(demo_paths["edges"]), "--rank", "2",
+                     "--max-iters", "20", "--out", str(model)]) == 0
+        assert main(["embed", "--model", str(model), "--out", str(emb)]) == 0
+        far = tmp_path / "far_labels.txt"
+        far.write_text("0 0\n99 1\n")
+        for argv, outputs in (
+            (["evaluate", "--embeddings", str(emb), "--labels", str(far),
+              "--out", str(tmp_path / "far.json")], ["far.json"]),
+            (["interpret", "--model", str(model), "--threshold", "0", "--prune-eval",
+              "--embeddings", str(emb), "--labels", str(far),
+              "--out", str(tmp_path / "w.csv"), "--report-out", str(tmp_path / "prune.json")],
+             ["w.csv", "prune.json"]),
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not any((tmp_path / name).exists() for name in outputs)
 
     def test_unwritable_outputs_exit_two(self, demo_paths, tmp_path, capsys):
         model = tmp_path / "model"
