@@ -165,15 +165,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_dataset_args(parser, labels_required: bool) -> None:
+def _add_dataset_args(parser) -> None:
     parser.add_argument("--edges", required=True, help="undirected edge list file")
     parser.add_argument("--features", required=True, help="node feature file")
-    parser.add_argument(
-        "--labels",
-        required=labels_required,
-        default=None,
-        help="node label file (evaluation aborts without it)",
-    )
+    parser.add_argument("--labels", required=True, help="node label file")
     parser.add_argument("--k", type=int, required=True, help="neighbors per node")
     _add_als_args(parser)
     parser.add_argument("--train-fractions", type=float, nargs="+",
@@ -265,12 +260,12 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("run", help="full pipeline into a run directory")
-    _add_dataset_args(p, labels_required=False)
+    _add_dataset_args(p)
     p.add_argument("--out", default=None, help="run directory (default: timestamped)")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep", help="pipeline once per parameter value")
-    _add_dataset_args(p, labels_required=True)
+    _add_dataset_args(p)
     p.add_argument("--param", choices=("k", "d"), required=True)
     p.add_argument("--values", type=int, nargs="+", required=True)
     p.add_argument("--run-root", default=None)

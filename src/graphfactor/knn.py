@@ -126,8 +126,8 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     if block_rows is None:
         block_rows = max(1, _BLOCK_BYTES // (_BYTES_PER_ENTRY * n))
-    elif block_rows < 1:
-        raise ValueError("block_rows must be >= 1")
+    elif not isinstance(block_rows, Integral) or block_rows < 1:
+        raise ValueError(f"block_rows must be an integer >= 1, got {block_rows!r}")
     mat_t = features.T.tocsr()
     norms = _row_norms(features)
     degree = np.zeros(n, dtype=np.int64)

@@ -5,9 +5,10 @@ embed, evaluate, interpret — persisting every intermediate artifact and
 a manifest that captures all parameters, input checksums, the fit
 history, and every report. Outputs contain no timestamps or absolute
 paths, so two runs with the same config and inputs are byte-identical.
+A run first checksums every input, so an unreadable one raises before
+anything is written, then deletes every file an earlier run may have
+written to its directory, so it holds only the latest run's outputs.
 A stage failure writes a FAILED marker naming the stage and re-raises.
-A run first deletes every file an earlier run may have written to its
-directory, so the directory holds only the latest run's outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .dataio import (
     sha256_file,
 )
 from .embedding import EMBEDDING_SOURCES, extract_embeddings, view_dimension_weights
-from .errors import DataError, PipelineError
+from .errors import PipelineError
 from .evaluate import EvalConfig, evaluate
 from .interpret import pruning_report, write_weights_csv
 from .knn import build_knn_view, save_knn_edge_list
@@ -74,11 +75,11 @@ def config_from(cls, source, **given):
 
 @dataclass
 class PipelineConfig:
-    """Everything a run depends on besides the input files themselves."""
+    """Every setting of a run and the paths of its inputs, labels included."""
 
     edges: str
     features: str
-    labels: str | None
+    labels: str
     k: int
     rank: int
     seed: int = AlsConfig.seed
@@ -138,10 +139,14 @@ def _fraction_tag(fraction: float) -> str:
 def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
     """Execute all six stages; returns the run directory.
 
-    On stage failure, writes a FAILED marker naming the stage, persists
-    the partial manifest, and raises PipelineError wrapping the cause.
+    An unreadable input raises DataError before the directory is created
+    or cleaned. On stage failure, writes a FAILED marker naming the stage,
+    persists the partial manifest, and raises PipelineError wrapping the cause.
     """
     config.validate()
+    names = ("edges", "features", "labels") if config.use_knn_view else ("edges", "labels")
+    paths = {name: getattr(config, name) for name in names}  # checksummed before any write
+    inputs = {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items()}
     if run_dir is None:
         run_dir = _new_run_dir(default_run_root())
     run_dir = Path(run_dir)
@@ -152,7 +157,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
 
     manifest: dict = {
         "config": config_record(config),
-        "inputs": {},
+        "inputs": inputs,
         "stages": [],
         "status": "running",
     }
@@ -173,15 +178,11 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             raise PipelineError(name, exc) from exc
         manifest["stages"].append({"name": name, **details})
 
-    def record_input(key: str, path) -> None:
-        manifest["inputs"][key] = {"path": str(path), "sha256": sha256_file(path)}
-
     with stage("build-knn") as details:
         knn = None
         if not config.use_knn_view:
             details.update(skipped=True, reason="K-NN view disabled by config")
         else:
-            record_input("features", config.features)
             knn = build_knn_view(load_features(config.features), config.k)
             save_knn_edge_list(knn, run_dir / "knn_edges.txt")
             details.update(
@@ -193,7 +194,6 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             )
 
     with stage("stack") as details:
-        record_input("edges", config.edges)
         graph = load_edge_list(config.edges)
         tensor = stack_views(graph, knn)
         num_nodes, _, l_dim = tensor.dims
@@ -233,11 +233,6 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         )
 
     with stage("evaluate") as details:
-        if config.labels is None:
-            raise DataError(
-                "no labels file configured; the evaluate stage requires labels"
-            )
-        record_input("labels", config.labels)
         labels = load_labels(config.labels)
         reports = []
         outputs = []
@@ -288,13 +283,14 @@ class SweepResult:
 def sweep(config: PipelineConfig, param: str, values, run_root=None) -> SweepResult:
     """Run the pipeline once per parameter value, all else fixed.
 
-    ``param`` is "k" (neighbor count) or "d" (decomposition rank). A
-    value whose run fails is recorded as failed and the sweep continues.
+    ``param`` is "k" (neighbor count) or "d" (decomposition rank). A value
+    whose run fails, a non-integer one included, is recorded as failed and the
+    sweep continues; an unreadable input raises DataError before any value runs.
     The first train fraction's mean Micro-F1 is reported per value.
     """
     if param not in ("k", "d"):
         raise ValueError(f"param must be 'k' or 'd', got {param!r}")
-    values = [int(v) for v in values]
+    values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
     if len(set(values)) != len(values):

@@ -135,8 +135,9 @@ class TestBlockedPath:
             assert view_edges(build_knn_view(f, k=5, block_rows=block)) == base
 
     def test_block_rows_validated(self):
-        with pytest.raises(ValueError):
-            build_knn_view(feats([[1.0], [1.0]]), k=1, block_rows=0)
+        for bad in (0, 2.5, "2"):
+            with pytest.raises(ValueError, match="block_rows must be an integer >= 1"):
+                build_knn_view(feats([[1.0], [1.0]]), k=1, block_rows=bad)
 
 
 class TestInputTypes:

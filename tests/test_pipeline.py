@@ -15,6 +15,7 @@ import graphfactor.interpret
 import graphfactor.pipeline
 from graphfactor import (
     AlsConfig,
+    DataError,
     EvalConfig,
     NumericalError,
     PipelineConfig,
@@ -117,6 +118,24 @@ class TestRunPipeline:
         for name in ("edges", "features", "labels"):
             entry = manifest["inputs"][name]
             assert entry["sha256"] == sha256_file(demo_paths[name])
+        # an adjacency-only run reads no feature file, so its manifest names none
+        ablation = run_pipeline(demo_config(demo_paths, use_knn_view=False), tmp_path / "ablation")
+        inputs = json.loads((ablation / "manifest.json").read_text())["inputs"]
+        assert sorted(inputs) == ["edges", "labels"]
+        for name in ("edges", "labels"):
+            assert inputs[name]["sha256"] == sha256_file(demo_paths[name])
+
+    def test_failed_run_manifest_lists_every_input(self, demo_paths, tmp_path):
+        # k=200 exceeds the 30-node graph, so the run fails at its first stage
+        with pytest.raises(PipelineError) as excinfo:
+            run_pipeline(demo_config(demo_paths, k=200), tmp_path / "run")
+        assert excinfo.value.stage == "build-knn"
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["inputs"] == {
+            name: {"path": str(demo_paths[name]), "sha256": sha256_file(demo_paths[name])}
+            for name in ("edges", "features", "labels")
+        }
 
     def test_identical_configs_give_identical_bytes(self, demo_paths, tmp_path):
         dir_a = run_pipeline(demo_config(demo_paths), tmp_path / "a")
@@ -169,18 +188,16 @@ class TestRunPipeline:
         evaluate_stage = next(s for s in manifest["stages"] if s["name"] == "evaluate")
         assert [r["train_fraction"] for r in evaluate_stage["reports"]] == [0.3, 0.6]
 
-    def test_missing_labels_fails_at_evaluate_stage(self, demo_paths, tmp_path):
-        config = demo_config(demo_paths, labels=None)
-        with pytest.raises(PipelineError) as excinfo:
-            run_pipeline(config, tmp_path / "run")
-        assert excinfo.value.stage == "evaluate"
-        marker = (tmp_path / "run" / "FAILED").read_text()
-        assert marker.startswith("stage: evaluate\n")
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["failed_stage"] == "evaluate"
-        # earlier stages still left their artifacts behind
-        assert (tmp_path / "run" / "embeddings.txt").is_file()
+    @pytest.mark.parametrize("name", ["edges", "features", "labels"])
+    def test_unreadable_input_is_rejected_before_writing(self, demo_paths, tmp_path, name):
+        config = demo_config(demo_paths, prune_threshold=1e-3)
+        run_dir = run_pipeline(config, tmp_path / "run")
+        before = run_bytes(run_dir)
+        missing = dataclasses.replace(config, **{name: str(tmp_path / "absent.txt")})
+        with pytest.raises(DataError, match="absent.txt"):
+            run_pipeline(missing, run_dir)
+        assert run_bytes(run_dir) == before
+        assert not (run_dir / "FAILED").exists()
 
     @pytest.mark.parametrize("index, function", enumerate(
         ["build_knn_view", "stack_views", "decompose", "extract_embeddings", "evaluate",
@@ -205,8 +222,10 @@ class TestRunPipeline:
         assert [s["name"] for s in manifest["stages"]] == list(STAGE_NAMES[:index])
 
     def test_successful_rerun_removes_stale_failed_marker(self, demo_paths, tmp_path):
+        far = tmp_path / "far_labels.txt"
+        far.write_text("0 0\n99 1\n")  # node 99 is past the 30-row embedding
         with pytest.raises(PipelineError):
-            run_pipeline(demo_config(demo_paths, labels=None), tmp_path / "run")
+            run_pipeline(demo_config(demo_paths, labels=str(far)), tmp_path / "run")
         assert (tmp_path / "run" / "FAILED").is_file()
         run_dir = run_pipeline(demo_config(demo_paths), tmp_path / "run")
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -421,6 +440,18 @@ class TestSweep:
         assert result.rows[0] == (200, None)
         assert result.rows[1][0] == 3 and result.rows[1][1] is not None
         assert "200,failed" in result.to_csv()
+        # a fractional rank fails validation instead of being rounded to 2
+        result = sweep(demo_config(demo_paths), "d", [2.7, 3], run_root=tmp_path / "d")
+        assert result.rows[0] == (2.7, None)
+        assert result.rows[1][0] == 3 and result.rows[1][1] is not None
+        assert "2.7,failed" in result.to_csv()
+        assert not (tmp_path / "d" / "d_2").exists()
+
+    def test_unreadable_input_stops_the_sweep_before_any_value_runs(self, demo_paths, tmp_path):
+        config = demo_config(demo_paths, labels=str(tmp_path / "absent.txt"))
+        with pytest.raises(DataError, match="absent.txt"):
+            sweep(config, "d", [2, 3, 4], run_root=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_parameter_validation(self, demo_paths, tmp_path):
         with pytest.raises(ValueError, match="param"):
@@ -795,16 +826,17 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error:")
             assert not missing.exists()
 
-    def test_run_without_labels_exits_two(self, demo_paths, tmp_path, capsys):
-        code = main([
-            "run", "--edges", str(demo_paths["edges"]),
-            "--features", str(demo_paths["features"]),
-            "--k", "3", "--rank", "4", "--max-iters", "60", "--tol", "1e-5",
-            "--repeats", "3", "--out", str(tmp_path / "run"),
-        ])
-        assert code == 2
-        assert "evaluate" in capsys.readouterr().err
-        assert (tmp_path / "run" / "FAILED").is_file()
+    def test_run_without_labels_exits_one(self, demo_paths, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "--edges", str(demo_paths["edges"]),
+                "--features", str(demo_paths["features"]),
+                "--k", "3", "--rank", "4", "--max-iters", "60", "--tol", "1e-5",
+                "--repeats", "3", "--out", str(tmp_path / "run"),
+            ])
+        assert excinfo.value.code == 1
+        assert "--labels" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_numerical_errors_exit_three(self, demo_paths, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
