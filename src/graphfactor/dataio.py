@@ -120,14 +120,18 @@ def parse_records(path, records, usage: str, kinds: str, default: str | None = N
         i = miscounted[0]
         raise ParseError(path, int(line_nos[i]), f"expected '{usage}', got {widths[i]} fields")
     short = widths < n
-    if short.any():  # give each record that left out the last field the default
+    if not short.any():
+        fields = [tokens[k::n] for k in range(n)]
+    elif short.all():  # no record gives the last field: parse the default once
+        fields = [tokens[k::n - 1] for k in range(n - 1)] + [[default]]
+    else:  # give each record that left out the last field the default
         tokens = np.insert(np.array(tokens, dtype=object), np.cumsum(widths)[short], default)
-    fields = [tokens[k::n] for k in range(n)]
+        fields = [tokens[k::n] for k in range(n)]
     columns, bad = [], []
     for k, kind in enumerate(kinds):
         parse, dtype, test, _ = _KINDS[kind]
         try:
-            column = np.fromiter(map(parse, fields[k]), dtype, widths.size)
+            column = np.fromiter(map(parse, fields[k]), dtype, len(fields[k]))
             ok = bool(test(column).all())
         except (ValueError, OverflowError):
             column, ok = None, False
@@ -138,7 +142,7 @@ def parse_records(path, records, usage: str, kinds: str, default: str | None = N
         i, k = min(bad)
         raise ParseError(path, int(line_nos[i]), f"field {k + 1} of '{usage}' must be "
                          f"{_KINDS[kinds[k]][3]}, got {fields[k][i]!r}")
-    return columns
+    return [np.full(widths.size, c[0]) if c.size < widths.size else c for c in columns]
 
 
 def load_edge_list(path) -> Graph:

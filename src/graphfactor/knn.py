@@ -11,6 +11,8 @@ copy node 1 (0.9999999999999998).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -27,15 +29,27 @@ __all__ = [
 ]
 
 
-# Peak working set of one row block, in bytes per similarity entry (one
-# row-column pair). The dense steps hold 16-20: the sparse dot product
-# (8-byte value, 4-byte index) next to its dense copy, then the block next
-# to its denominators or its partition copy. _select_block adds a 1-byte
-# mask and 8 per entry tied with a row's k-th value: with every similarity
-# tied (all-identical rows) tracemalloc measures ~21 in all.
-_BYTES_PER_ENTRY = 48
-# Byte budget that sizes the row blocks when ``block_rows`` is None.
+# Resident memory that one similarity entry (one row-column pair) of the
+# blocks in flight costs, in bytes. A block's dense steps hold 16-20: the
+# sparse dot product (8-byte value, 4-byte index) next to its dense copy,
+# then the block next to its denominators or its partition copy.
+# _select_block adds a 1-byte mask and 8 per entry tied with a row's k-th
+# value: with every similarity tied (all-identical rows) tracemalloc
+# measures ~21 in all. Each worker thread's malloc arena also keeps pages
+# its blocks freed, which the rest of the process does not reuse: with two
+# workers, a build's peak RSS growth plus what the arenas kept after it
+# measured 25-54 per entry in flight on the WebKB, CiteSeer and 8000-node
+# benchmark shapes; 128 leaves about 2.4x headroom over the largest.
+_BYTES_PER_ENTRY = 128
+# Byte budget shared by every block in flight when ``block_rows`` is None.
 _BLOCK_BYTES = 64 * 2**20
+
+
+def _worker_count() -> int:
+    """Threads that build row blocks: one per CPU the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +116,17 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
     sparse matrix or array; it is converted to CSR once.
 
     The similarity matrix is computed ``block_rows`` rows at a time, so
-    only a block of the dense V x V matrix is held at once. ``None``
+    only blocks of the dense V x V matrix are held at once. The blocks run
+    on a thread pool, one worker per CPU the process may run on. ``None``
     sizes the blocks from a fixed 64 MB budget for the whole dense working
-    set of a block, so peak memory stays flat as the node count grows
-    (one row is held even past the budget). The result does not depend on
-    the block size. Rows with zero norm get similarity 0 against every
-    node, and a zero similarity never becomes an edge: rows with fewer
-    than k strictly positive similarities select all of them. Ties go to
-    the lowest node index among equal computed similarities (clipped to
-    [0, 1]), so parallel rows can rank by rounding; see the module
-    docstring.
+    set of every block in flight, so peak memory stays flat as the node
+    count grows (one row per worker is held even past the budget). The
+    result depends on neither the block size nor the worker count. Rows
+    with zero norm get similarity 0 against every node, and a zero
+    similarity never becomes an edge: rows with fewer than k strictly
+    positive similarities select all of them. Ties go to the lowest node
+    index among equal computed similarities (clipped to [0, 1]), so
+    parallel rows can rank by rounding; see the module docstring.
     """
     if not (sp.issparse(features) or isinstance(features, np.ndarray)) or features.ndim != 2:
         raise ValueError("features must be a 2-D ndarray or scipy sparse matrix, got "
@@ -124,15 +139,16 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
+    workers = _worker_count()
     if block_rows is None:
-        block_rows = max(1, _BLOCK_BYTES // (_BYTES_PER_ENTRY * n))
+        block_rows = max(1, _BLOCK_BYTES // (_BYTES_PER_ENTRY * n * workers))
     elif not isinstance(block_rows, Integral) or block_rows < 1:
         raise ValueError(f"block_rows must be an integer >= 1, got {block_rows!r}")
     mat_t = features.T.tocsr()
     norms = _row_norms(features)
-    degree = np.zeros(n, dtype=np.int64)
-    picked = []
-    for start in range(0, n, block_rows):
+
+    def select(start):
+        """Out-degrees and selected columns of the rows from ``start``."""
         stop = min(start + block_rows, n)
         block = (features[start:stop] @ mat_t).toarray()
         denom = np.outer(norms[start:stop], norms)
@@ -145,15 +161,23 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
         block[local, start + local] = 0.0
         np.negative(block, out=block)
         rows, cols = _select_block(block, k)
-        del block
-        degree[start:stop] = np.bincount(rows, minlength=stop - start)
-        picked.append(cols)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
+        return np.bincount(rows, minlength=stop - start), cols
+
+    with ThreadPoolExecutor(workers) as pool:
+        degrees, picked = zip(*pool.map(select, range(0, n, block_rows)))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(degrees))])
     return KnnView(num_nodes=n, k=k, indptr=indptr, indices=np.concatenate(picked))
 
 
 def save_knn_edge_list(view: KnnView, path) -> None:
-    """Write the view as a directed edge list, neighbors in selection order."""
+    """Write the view as a directed edge list, neighbors in selection order.
+
+    A view with no edges raises ValueError and writes nothing: no reader
+    accepts an empty edge list.
+    """
+    if not view.directed_edge_count:
+        raise ValueError("the K-NN view has no edges (no two nodes have a positive similarity); "
+                         "build the tensor without it (--no-knn-view)")
     nodes = np.repeat(np.arange(view.num_nodes), np.diff(view.indptr))
     text = "".join(map("{} {}\n".format, nodes.tolist(), view.indices.tolist()))
     save_text(path, text)

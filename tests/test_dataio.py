@@ -174,6 +174,13 @@ class TestLoadFeatures:
         with pytest.raises(ParseError):
             load_features(p)
 
+    def test_mixed_file_names_the_bad_value_and_its_line(self, tmp_path):
+        # some records give the value and some leave it out
+        p = write(tmp_path, "f.txt", "0 0\n1 1 2.0\n2 2 x1\n3 0\n")
+        with pytest.raises(ParseError, match=r"f\.txt:3: .*'x1'") as err:
+            load_features(p)
+        assert err.value.line_no == 3
+
     def test_empty_rejected(self, tmp_path):
         p = write(tmp_path, "f.txt", "\n")
         with pytest.raises(DataError):

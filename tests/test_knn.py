@@ -1,6 +1,8 @@
 """Proximity-view construction: cosine similarity and top-k selection."""
 
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfactor import build_knn_view
+from graphfactor import build_knn_view, knn
 from graphfactor.errors import DataError
 from graphfactor.knn import load_directed_edge_list, save_knn_edge_list
 
@@ -188,6 +190,42 @@ class TestTieHeavy:
             assert view_edges(build_knn_view(feats(dense), k=k, block_rows=block)) == want
 
 
+class TestWorkers:
+    """Row blocks run on a thread pool, one worker per CPU; no edge may
+    depend on the worker count."""
+
+    @staticmethod
+    def edges(dense, k, block_rows, workers):
+        with mock.patch.object(knn, "_worker_count", return_value=workers):
+            return view_edges(build_knn_view(feats(dense), k=k, block_rows=block_rows))
+
+    def check(self, dense, k, blocks):
+        want = oracle_knn_edges(dense, k)
+        for block in blocks:
+            assert self.edges(dense, k, block, 1) == want
+            for workers in (2, 3, 8):
+                assert self.edges(dense, k, block, workers) == want
+
+    def test_random_binary_features(self):
+        rng = np.random.default_rng(6)
+        self.check((rng.random((60, 8)) < 0.3).astype(float), 5, (1, 3, 7))
+
+    def test_all_identical_rows(self):
+        self.check(np.ones((24, 3)), 4, (1, 5))
+
+    @PROPERTY_SETTINGS
+    @given(case=tie_heavy_features())
+    def test_tie_heavy(self, case):
+        dense, k = case
+        self.check(dense, k, (1, 2))
+
+    def test_default_worker_count_is_the_cpus_the_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert knn._worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert knn._worker_count() == (os.cpu_count() or 1)
+
+
 class TestCsrView:
     def test_to_csr_is_canonical_and_holds_the_edges(self):
         # node 2 copies node 0; node 3 has no features; node 4 meets node 1 only
@@ -203,10 +241,11 @@ class TestCsrView:
 
 
 class TestMemoryBound:
-    @pytest.mark.parametrize("n", [3000, 6000])
-    def test_default_blocks_keep_the_peak_flat(self, n):
-        # Random sparse features, 500 columns at density 0.02; one block of
-        # all rows would need several dense n x n arrays (hundreds of MB).
+    @staticmethod
+    def default_build_peak(n):
+        """tracemalloc peak of one default-block build on random sparse
+        features, 500 columns at density 0.02; one block of all rows would
+        need several dense n x n arrays (hundreds of MB)."""
         rng = np.random.default_rng(n)
         nnz = int(0.02 * n * 500)
         mat = sp.coo_matrix(
@@ -217,10 +256,24 @@ class TestMemoryBound:
         try:
             tracemalloc.reset_peak()
             build_knn_view(mat, k=10)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_default_blocks_keep_the_peak_flat(self, n):
+        assert self.default_build_peak(n) < 128 * 2**20
+
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_workers_share_the_budget(self, n):
+        # Four blocks in flight, each a quarter of one worker's block: the
+        # budget is shared, not multiplied by the worker count.
+        with mock.patch.object(knn, "_worker_count", return_value=1):
+            alone = self.default_build_peak(n)
+        with mock.patch.object(knn, "_worker_count", return_value=4):
+            shared = self.default_build_peak(n)
+        assert shared < 128 * 2**20
+        assert shared < 1.5 * alone
 
 
 class TestEdgeListRoundTrip:
@@ -243,6 +296,15 @@ class TestEdgeListRoundTrip:
         p = tmp_path / "z.txt"
         save_knn_edge_list(view, p)
         assert p.read_text().splitlines()[:2] == ["0 1", "0 2"]
+
+    def test_save_refuses_a_view_with_no_edges(self, tmp_path):
+        # no two nodes share a feature: no positive similarity, no edge
+        view = build_knn_view(feats(np.eye(4)), k=1)
+        assert view.directed_edge_count == 0
+        p = tmp_path / "z.txt"
+        with pytest.raises(ValueError, match="--no-knn-view"):
+            save_knn_edge_list(view, p)
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_rejects_bad_input(self, tmp_path):
         p = tmp_path / "z.txt"

@@ -137,6 +137,17 @@ class TestRunPipeline:
             for name in ("edges", "features", "labels")
         }
 
+    def test_knn_view_with_no_edges_fails_at_build_knn(self, demo_paths, tmp_path):
+        # no two of the 30 nodes share a feature, so the K-NN view has no edge
+        features = tmp_path / "disjoint.txt"
+        features.write_text("".join(f"{v} {v}\n" for v in range(30)))
+        config = demo_config(demo_paths, features=str(features))
+        with pytest.raises(PipelineError, match="--no-knn-view") as excinfo:
+            run_pipeline(config, tmp_path / "run")
+        assert excinfo.value.stage == "build-knn"
+        assert (tmp_path / "run" / "FAILED").read_text().startswith("stage: build-knn\n")
+        assert not (tmp_path / "run" / "knn_edges.txt").exists()
+
     def test_identical_configs_give_identical_bytes(self, demo_paths, tmp_path):
         dir_a = run_pipeline(demo_config(demo_paths), tmp_path / "a")
         dir_b = run_pipeline(demo_config(demo_paths), tmp_path / "b")
@@ -810,6 +821,15 @@ class TestCli:
             assert main(argv) == 2
             assert "error:" in capsys.readouterr().err
             assert not any((tmp_path / name).exists() for name in outputs)
+
+    def test_build_knn_with_no_edges_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        features = tmp_path / "disjoint.txt"
+        features.write_text("0 0\n1 1\n2 2\n3 3\n")
+        code = main(["build-knn", "--features", str(features), "--k", "1",
+                     "--out", str(tmp_path / "knn.txt")])
+        assert code == 2
+        assert "--no-knn-view" in capsys.readouterr().err
+        assert not (tmp_path / "knn.txt").exists()
 
     def test_unwritable_outputs_exit_two(self, demo_paths, tmp_path, capsys):
         model = tmp_path / "model"
