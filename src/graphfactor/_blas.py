@@ -24,7 +24,8 @@ def openblas_thread_controls() -> list:
     """(get_num_threads, set_num_threads) of every OpenBLAS in this process."""
     try:
         with open("/proc/self/maps") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n")  # a path may hold spaces
+                            for line in handle if "openblas" in line.lower()})
     except OSError:
         return []
     controls = []

@@ -67,10 +67,10 @@ def _cmd_build_knn(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    config = config_from(AlsConfig, args)
     graph = load_edge_list(args.adj)
     z = None if args.knn is None else load_directed_edge_list(args.knn)
     tensor = stack_views(graph, z)
-    config = config_from(AlsConfig, args)
     model = decompose(tensor, config)
     save_model(model, args.out, config)
     status = "converged" if model.converged else "did not converge"
@@ -95,9 +95,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    emb = load_matrix(args.embeddings)
-    labels = load_labels(args.labels)
-    report = evaluate(emb, labels, config_from(EvalConfig, args))
+    config = config_from(EvalConfig, args)
+    report = evaluate(load_matrix(args.embeddings), load_labels(args.labels), config)
     save_json(report.to_dict(), args.out)
     print(
         f"wrote {args.out}: micro-F1 {report.micro_f1_mean:.4f} "
@@ -123,11 +122,12 @@ def _cmd_interpret(args) -> int:
     if wrong:  # every flag named is ignored without --prune-eval, the first four needed with it
         rule = "--prune-eval requires {}" if args.prune_eval else "{} given without --prune-eval"
         return _usage_error(rule.format(", ".join(wrong)))
+    eval_config = EvalConfig(**given)  # checked before any input is read
     model = load_model(args.model)
     if args.prune_eval:  # computed first, so a rejected input writes nothing
         emb = load_matrix(args.embeddings)
         labels = load_labels(args.labels)
-        report = pruning_report(model, emb, labels, args.threshold, EvalConfig(**given))
+        report = pruning_report(model, emb, labels, args.threshold, eval_config)
     weights = view_dimension_weights(model)
     write_weights_csv(weights, args.out)
     print(f"wrote {args.out}: {weights.shape[1]} dimensions x {weights.shape[0]} views")

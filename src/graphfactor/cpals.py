@@ -68,9 +68,9 @@ _RCOND_MIN = 1e-10
 _EXTRAPOLATE_BELOW = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlsConfig:
-    """Solver settings; two runs with equal configs give equal models.
+    """Solver settings, checked when built; frozen. Equal configs give equal models.
 
     ``max_iters`` caps the sweeps ``decompose`` spends, rejected
     extrapolation tries included; ``tol`` bounds the fit gain per sweep
@@ -86,7 +86,7 @@ class AlsConfig:
     seed: int = 0
     init: str = "uniform"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.rank, Integral) or self.rank < 1:
             raise ValueError(f"rank must be an integer >= 1, got {self.rank}")
         if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
@@ -155,7 +155,6 @@ class FactorModel:
 
 def init_factors(dims, config: AlsConfig) -> FactorModel:
     """Seeded random factors; identical seeds give identical models."""
-    config.validate()
     i_dim, j_dim, l_dim = dims
     rng = np.random.default_rng(config.seed)
     if config.init == "uniform":

@@ -44,14 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """The evaluation protocol; l2_strength is the inverse L2 penalty."""
+    """Evaluation protocol, checked when built; frozen. l2_strength: inverse L2 penalty."""
 
     train_fraction: float = 0.5
     repeats: int = 10
     seed: int = 0
     l2_strength: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not isinstance(self.repeats, Integral) or self.repeats < 1:
@@ -307,7 +307,6 @@ def evaluate(
     """Repeated stratified-split evaluation of boolean node labels; deterministic in the seed.
     ``labels`` may stop short of the embedding's rows (unlabeled trailing nodes);
     a label on a node past the last row raises ValueError."""
-    config.validate()
     labeled = np.flatnonzero(labels.any(axis=1))
     if labeled.size < 2:
         raise ValueError("need at least 2 labeled nodes to evaluate")

@@ -5,9 +5,10 @@ embed, evaluate, interpret — persisting every intermediate artifact and
 a manifest that captures all parameters, input checksums, the fit
 history, and every report. Outputs contain no timestamps or absolute
 paths, so two runs with the same config and inputs are byte-identical.
-A run first checksums every input, so an unreadable one raises before
-anything is written, then deletes every file an earlier run may have
-written to its directory, so it holds only the latest run's outputs.
+A run first checksums and parses every input, so an unreadable or
+malformed one raises before anything is written, then deletes every file
+an earlier run may have written to its directory, so it holds only the
+latest run's outputs.
 A stage failure writes a FAILED marker naming the stage and re-raises.
 """
 
@@ -73,9 +74,10 @@ def config_from(cls, source, **given):
     return cls(**{name: getattr(source, name) for name in names}, **given)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Every setting of a run and the paths of its inputs, labels included."""
+    """Every setting of a run and the paths of its inputs, labels included;
+    checked when built, its solver and evaluation configs too; frozen."""
 
     edges: str
     features: str
@@ -99,14 +101,14 @@ class PipelineConfig:
     def eval_config(self, train_fraction: float) -> EvalConfig:
         return config_from(EvalConfig, self, train_fraction=train_fraction)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.k, Integral) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k}")
-        self.als_config().validate()
+        self.als_config()
         if not self.train_fractions:
             raise ValueError("train_fractions must be nonempty")
         for frac in self.train_fractions:
-            self.eval_config(frac).validate()
+            self.eval_config(frac)
         if len(set(map(_fraction_tag, self.train_fractions))) != len(self.train_fractions):
             raise ValueError("train_fractions contains duplicates (equal report file names)")
         if self.prune_threshold is not None and not self.prune_threshold >= 0:
@@ -139,14 +141,15 @@ def _fraction_tag(fraction: float) -> str:
 def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
     """Execute all six stages; returns the run directory.
 
-    An unreadable input raises DataError before the directory is created
-    or cleaned. On stage failure, writes a FAILED marker naming the stage,
-    persists the partial manifest, and raises PipelineError wrapping the cause.
+    An unreadable or malformed input raises DataError before the directory
+    is created or cleaned. On stage failure, writes a FAILED marker naming the
+    stage, persists the partial manifest, and raises PipelineError wrapping the cause.
     """
-    config.validate()
     names = ("edges", "features", "labels") if config.use_knn_view else ("edges", "labels")
-    paths = {name: getattr(config, name) for name in names}  # checksummed before any write
+    paths = {name: getattr(config, name) for name in names}  # checksummed, parsed before any write
     inputs = {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items()}
+    loaders = {"edges": load_edge_list, "features": load_features, "labels": load_labels}
+    parsed = {name: loaders[name](p) for name, p in paths.items()}
     if run_dir is None:
         run_dir = _new_run_dir(default_run_root())
     run_dir = Path(run_dir)
@@ -183,7 +186,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         if not config.use_knn_view:
             details.update(skipped=True, reason="K-NN view disabled by config")
         else:
-            knn = build_knn_view(load_features(config.features), config.k)
+            knn = build_knn_view(parsed.pop("features"), config.k)
             save_knn_edge_list(knn, run_dir / "knn_edges.txt")
             details.update(
                 k=config.k,
@@ -194,7 +197,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
             )
 
     with stage("stack") as details:
-        graph = load_edge_list(config.edges)
+        graph = parsed["edges"]
         tensor = stack_views(graph, knn)
         num_nodes, _, l_dim = tensor.dims
         details.update(
@@ -233,7 +236,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         )
 
     with stage("evaluate") as details:
-        labels = load_labels(config.labels)
+        labels = parsed["labels"]
         reports = []
         outputs = []
         for fraction in config.train_fractions:
@@ -284,8 +287,9 @@ def sweep(config: PipelineConfig, param: str, values, run_root=None) -> SweepRes
     """Run the pipeline once per parameter value, all else fixed.
 
     ``param`` is "k" (neighbor count) or "d" (decomposition rank). A value
-    whose run fails, a non-integer one included, is recorded as failed and the
-    sweep continues; an unreadable input raises DataError before any value runs.
+    the config rejects, a non-integer one included, or whose run fails is
+    recorded as failed and the sweep continues. An unreadable or malformed
+    input raises DataError before any value runs.
     The first train fraction's mean Micro-F1 is reported per value.
     """
     if param not in ("k", "d"):
@@ -300,12 +304,9 @@ def sweep(config: PipelineConfig, param: str, values, run_root=None) -> SweepRes
     run_root = Path(run_root)
     result = SweepResult(param=param)
     for value in values:
-        if param == "k":
-            variant = dataclasses.replace(config, k=value)
-        else:
-            variant = dataclasses.replace(config, rank=value)
         run_dir = run_root / f"{param}_{value}"
-        try:
+        try:  # the replace checks the value, so a rejected one fails only its own row
+            variant = dataclasses.replace(config, **{"k" if param == "k" else "rank": value})
             run_pipeline(variant, run_dir)
         except (PipelineError, ValueError):
             result.rows.append((value, None))

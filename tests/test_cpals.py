@@ -1,6 +1,7 @@
 """Alternating least squares: sweeps, convergence, normalization, I/O."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import graphfactor._blas
 import graphfactor.cpals
 from graphfactor import AlsConfig, decompose
 from graphfactor._blas import openblas_thread_controls
@@ -90,18 +92,22 @@ def zeroed_component_model(rng, i_dim, j_dim, l_dim):
 class TestConfigAndInit:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AlsConfig(rank=0).validate()
+            AlsConfig(rank=0)
         with pytest.raises(ValueError):
-            AlsConfig(rank=2, max_iters=0).validate()
+            AlsConfig(rank=2, max_iters=0)
         with pytest.raises(ValueError):
-            AlsConfig(rank=2, tol=0.0).validate()
+            AlsConfig(rank=2, tol=0.0)
         with pytest.raises(ValueError):
-            AlsConfig(rank=2, init="fancy").validate()
-        for bad in (AlsConfig(rank=2.5), AlsConfig(rank=2, max_iters=10.0),
-                    AlsConfig(rank=2, seed=-1)):
+            AlsConfig(rank=2, init="fancy")
+        for bad in ({"rank": 2.5}, {"rank": 2, "max_iters": 10.0}, {"rank": 2, "seed": -1}):
             with pytest.raises(ValueError):
-                bad.validate()
-        AlsConfig(rank=np.int64(2), max_iters=np.int64(5), seed=np.uint8(3)).validate()
+                AlsConfig(**bad)
+        AlsConfig(rank=np.int64(2), max_iters=np.int64(5), seed=np.uint8(3))
+
+    def test_config_is_frozen(self):
+        config = AlsConfig(rank=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.rank = 0
 
     def test_init_deterministic_and_seed_sensitive(self):
         a = init_factors((4, 5, 2), AlsConfig(rank=3, seed=11))
@@ -449,6 +455,24 @@ class TestBlasThreads:
                 "embeddings_pruned.txt", "model/A.txt", "model/C.txt"} <= set(runs[0])
         report = json.loads((tmp_path / "run_1" / "pruning_report.json").read_text())
         assert report["removed_dimensions"]
+
+
+class TestBlasLibraryPaths:
+    def test_a_library_path_with_spaces_is_found(self, tmp_path, monkeypatch):
+        try:
+            with open("/proc/self/maps") as handle:
+                loaded = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+        except OSError:
+            loaded = []
+        if not loaded:
+            pytest.skip("no OpenBLAS mapped into this process")
+        link = tmp_path / "dir with space" / Path(loaded[0]).name
+        link.parent.mkdir()
+        link.symlink_to(loaded[0])
+        line = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 42          {link}\n"
+        monkeypatch.setattr(graphfactor._blas, "open", lambda path: io.StringIO(line),
+                            raising=False)
+        assert len(openblas_thread_controls()) == 1
 
 
 class TestModelIO:

@@ -386,13 +386,12 @@ class TestEvaluate:
     def test_parameter_validation(self):
         emb, labels = self.one_hot_setup(per_class=2)
         with pytest.raises(ValueError):
-            evaluate(emb, labels, EvalConfig(0.0, repeats=1))
+            EvalConfig(0.0, repeats=1)
         with pytest.raises(ValueError):
-            evaluate(emb, labels, EvalConfig(1.0, repeats=1))
-        for bad in (EvalConfig(0.5, repeats=0), EvalConfig(0.5, repeats=2.5),
-                    EvalConfig(0.5, repeats=1, seed=-1)):
+            EvalConfig(1.0, repeats=1)
+        for bad in ({"repeats": 0}, {"repeats": 2.5}, {"repeats": 1, "seed": -1}):
             with pytest.raises(ValueError):
-                evaluate(emb, labels, bad)
+                EvalConfig(0.5, **bad)
         evaluate(emb, labels, EvalConfig(0.5, repeats=np.int64(1), seed=np.int32(1)))
         short = labelset([{0}], num_labels=1)
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from graphfactor import (
     DataError,
     EvalConfig,
     NumericalError,
+    ParseError,
     PipelineConfig,
     PipelineError,
     extract_embeddings,
@@ -182,7 +183,9 @@ class TestRunPipeline:
         assert (evaluation["train_fraction"], evaluation["repeats"]) == (0.5, 2)
 
     def test_knn_view_can_be_disabled(self, demo_paths, tmp_path):
-        config = demo_config(demo_paths, use_knn_view=False)
+        malformed = tmp_path / "features.txt"  # a run without the view never parses it
+        malformed.write_text("0 x\n")
+        config = demo_config(demo_paths, features=str(malformed), use_knn_view=False)
         run_dir = run_pipeline(config, tmp_path / "run")
         manifest = json.loads((run_dir / "manifest.json").read_text())
         by_name = {s["name"]: s for s in manifest["stages"]}
@@ -207,6 +210,15 @@ class TestRunPipeline:
         missing = dataclasses.replace(config, **{name: str(tmp_path / "absent.txt")})
         with pytest.raises(DataError, match="absent.txt"):
             run_pipeline(missing, run_dir)
+        assert run_bytes(run_dir) == before
+        assert not (run_dir / "FAILED").exists()
+        # a bad token on the last record is found before K-NN or ALS run, too
+        text = Path(demo_paths[name]).read_text()
+        malformed = tmp_path / f"malformed_{name}.txt"
+        malformed.write_text(text + "5 x\n")
+        last = len(text.splitlines()) + 1
+        with pytest.raises(ParseError, match=f"malformed_{name}.txt:{last}:"):
+            run_pipeline(dataclasses.replace(config, **{name: str(malformed)}), run_dir)
         assert run_bytes(run_dir) == before
         assert not (run_dir / "FAILED").exists()
 
@@ -276,15 +288,20 @@ class TestRunPipeline:
         assert [type(config[name]) for name in ("edges", "labels", "k", "rank")] == [
             str, str, int, int]
 
-    def test_invalid_config_rejected_before_writing(self, demo_paths, tmp_path):
+    def test_invalid_config_rejected_before_writing(self, demo_paths):
+        # the config checks itself when built, so no run can start from it
         for bad in ({"k": 0}, {"rank": 0}, {"init": "bogus"}, {"repeats": 0},
                     {"l2_strength": 0.0}, {"train_fractions": (1.0,)}, {"seed": -1},
                     {"k": 2.0}, {"prune_threshold": float("nan")},
-                    {"train_fractions": (0.5, 0.5)}, {"train_fractions": (0.5, 0.5000001)}):
-            config = demo_config(demo_paths, **bad)
+                    {"train_fractions": (0.5, 0.5)}, {"train_fractions": (0.5, 0.5000001)},
+                    {"tol": 0}, {"max_iters": 0}, {"embedding_source": "Z"}):
             with pytest.raises(ValueError):
-                run_pipeline(config, tmp_path / "run")
-            assert not (tmp_path / "run").exists()
+                demo_config(demo_paths, **bad)
+
+    def test_config_is_frozen(self, demo_paths):
+        config = demo_config(demo_paths)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.k = 0
 
     def test_feature_only_nodes_pad_the_adjacency(self, tmp_path):
         # features mention node 5, edges only reach node 3
@@ -462,6 +479,14 @@ class TestSweep:
         config = demo_config(demo_paths, labels=str(tmp_path / "absent.txt"))
         with pytest.raises(DataError, match="absent.txt"):
             sweep(config, "d", [2, 3, 4], run_root=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_malformed_input_stops_the_sweep_before_any_value_runs(self, demo_paths, tmp_path):
+        malformed = tmp_path / "bad_labels.txt"
+        malformed.write_text(Path(demo_paths["labels"]).read_text() + "17 x\n")
+        config = demo_config(demo_paths, labels=str(malformed))
+        with pytest.raises(ParseError, match="bad_labels.txt"):
+            sweep(config, "d", [2, 3], run_root=tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
     def test_parameter_validation(self, demo_paths, tmp_path):
@@ -669,6 +694,41 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "d,micro_f1_mean"
         assert len(lines) == 3
+
+    def test_invalid_setting_stops_the_sweep_before_any_value_runs(self, demo_paths, tmp_path,
+                                                                   capsys):
+        code = main([
+            "sweep", "--edges", str(demo_paths["edges"]),
+            "--features", str(demo_paths["features"]),
+            "--labels", str(demo_paths["labels"]),
+            "--k", "3", "--rank", "4", "--repeats", "0", "--param", "d", "--values", "2", "3",
+            "--run-root", str(tmp_path / "sweeps"), "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert code == 2
+        assert "repeats must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "sweeps").exists()
+
+    def test_stage_commands_check_their_config_before_reading_an_input(
+        self, demo_paths, tmp_path, monkeypatch
+    ):
+        calls = []
+        for name in ("load_edge_list", "load_directed_edge_list", "load_features",
+                     "load_labels", "load_matrix", "load_model"):
+            monkeypatch.setattr(graphfactor.cli, name,
+                                lambda *args, name=name: calls.append(name))
+        labels, emb = str(demo_paths["labels"]), str(tmp_path / "emb.txt")
+        for argv in (
+            ["decompose", "--adj", str(demo_paths["edges"]), "--rank", "0",
+             "--out", str(tmp_path / "model")],
+            ["evaluate", "--embeddings", emb, "--labels", labels, "--repeats", "0",
+             "--out", str(tmp_path / "eval.json")],
+            ["interpret", "--model", str(tmp_path / "model"), "--threshold", "0.1",
+             "--out", str(tmp_path / "w.csv"), "--prune-eval", "--embeddings", emb,
+             "--labels", labels, "--repeats", "0", "--report-out", str(tmp_path / "p.json")],
+        ):
+            assert main(argv) == 2, argv[0]
+        assert calls == []
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as excinfo:
