@@ -337,6 +337,9 @@ def load_model(directory) -> FactorModel:
     run_path = directory / "run.json"
     if run_path.exists():
         record = load_json(run_path)
-        model.fit_history = [float(v) for v in record.get("fit_history", [])]
-        model.converged = bool(record.get("converged", False))
+        try:
+            model.fit_history = [float(v) for v in record.get("fit_history", [])]
+            model.converged = bool(record.get("converged", False))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"{run_path}: malformed run record: {exc}") from exc
     return model

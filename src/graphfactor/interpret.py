@@ -74,32 +74,22 @@ def pruning_report(
     emb: np.ndarray,
     labels: np.ndarray,
     threshold: float,
-    eval_config: EvalConfig = EvalConfig(),
-    *,
-    before: EvalReport | None = None,
+    before: EvalReport | EvalConfig = EvalConfig(),
 ) -> dict:
     """Classification quality before vs. after pruning, same seeds.
 
-    ``emb`` is an unpruned embedding of ``model`` from any source; both
-    embeddings are evaluated under ``eval_config``, and what
-    ``prune_dimensions`` rejects is rejected before either evaluation.
-    ``before``, when given, is that embedding's evaluation under
-    ``eval_config``, already computed by the caller; it is used in place
-    of evaluating again, and a report made under any other config is
-    rejected. The report embeds the removed embedding columns, the column
-    counts before and after, both evaluation summaries, the Micro-F1
-    delta, and per-removed-column correlations when computable.
+    ``emb`` is an unpruned embedding of ``model`` from any source.
+    ``before`` is its evaluation, already computed by the caller, or the
+    ``EvalConfig`` to evaluate it under; the pruned embedding is scored
+    under ``before.config``. A bad threshold is rejected before any
+    evaluation. The report embeds the removed embedding columns, the
+    column counts before and after, both evaluation summaries, the
+    Micro-F1 delta, and per-removed-column correlations when computable.
     """
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
-    if before is None:
-        before = evaluate(emb, labels, eval_config)
-    elif before.config != eval_config:
-        made = before.config
-        raise ValueError(
-            f"before report (train fraction {made.train_fraction}, {made.repeats} repeats, "
-            f"seed {made.seed}, l2 strength {made.l2_strength}) does not match {eval_config}"
-        )
-    after = evaluate(pruned_emb, labels, eval_config) if removed else before
+    if isinstance(before, EvalConfig):
+        before = evaluate(emb, labels, before)
+    after = evaluate(pruned_emb, labels, before.config) if removed else before
 
     num_nodes, dim = emb.shape
     correlations = []
@@ -120,7 +110,7 @@ def pruning_report(
         "macro_f1_before": float(before.macro_f1_mean),
         "macro_f1_after": float(after.macro_f1_mean),
         "removed_dimension_correlations": correlations,
-        "eval_config": config_record(eval_config),
+        "eval_config": config_record(before.config),
         "evaluation_before": before.to_dict(),
         "evaluation_after": after.to_dict(),
     }

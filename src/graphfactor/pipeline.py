@@ -251,14 +251,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         write_weights_csv(view_dimension_weights(model), run_dir / "weights.csv")
         details["weights_csv"] = "weights.csv"
         if config.prune_threshold is not None:
-            report = pruning_report(
-                model,
-                emb,
-                labels,
-                config.prune_threshold,
-                config.eval_config(config.train_fractions[0]),
-                before=reports[0],
-            )
+            report = pruning_report(model, emb, labels, config.prune_threshold, reports[0])
             save_json(report, run_dir / "pruning_report.json")
             pruned_emb = np.delete(emb, report["removed_dimensions"], axis=1)
             save_matrix(pruned_emb, run_dir / "embeddings_pruned.txt")

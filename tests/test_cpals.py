@@ -519,6 +519,17 @@ class TestModelIO:
         with pytest.raises(DataError):
             load_model(tmp_path / "model")
 
+    @pytest.mark.parametrize("bad", ['[1, 2]', '"text"', '{"fit_history": 5}',
+                                     '{"fit_history": null}', '{"fit_history": [1, "x"]}'])
+    def test_malformed_run_record_is_a_data_error_naming_it(self, tmp_path, bad):
+        rng = np.random.default_rng(16)
+        x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
+        config = AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12)
+        save_model(decompose(x, config), tmp_path / "model", config)
+        (tmp_path / "model" / "run.json").write_text(bad, encoding="utf-8")
+        with pytest.raises(DataError, match=r"run\.json"):
+            load_model(tmp_path / "model")
+
     @pytest.mark.parametrize("bad", ["nan", "abc", "-inf", "1.0 2.0"])
     def test_scales_must_be_one_finite_number_per_line(self, tmp_path, bad):
         rng = np.random.default_rng(15)

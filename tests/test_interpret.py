@@ -5,6 +5,7 @@ import pytest
 
 from graphfactor import AlsConfig, EvalConfig, decompose, extract_embeddings
 from graphfactor.cpals import FactorModel
+from graphfactor.dataio import config_record
 from graphfactor.embedding import view_dimension_weights
 from graphfactor.evaluate import evaluate
 from graphfactor.interpret import dimension_correlation, pruning_report, write_weights_csv
@@ -173,7 +174,7 @@ class TestPruningReport:
         model, emb, labels = self.fitted_setup()
         report = pruning_report(
             model, emb, labels, threshold=0.0,
-            eval_config=EvalConfig(repeats=np.int64(3), seed=7, l2_strength=2),
+            before=EvalConfig(repeats=np.int64(3), seed=7, l2_strength=2),
         )
         assert report["eval_config"] == {
             "train_fraction": 0.5, "repeats": 3, "seed": 7, "l2_strength": 2.0,
@@ -181,27 +182,20 @@ class TestPruningReport:
         # each value has its declared type: 2.0, not 2, and a plain int for repeats
         assert [type(v) for v in report["eval_config"].values()] == [float, int, int, float]
         with pytest.raises(TypeError, match="folds"):
-            pruning_report(model, emb, labels, 0.0, eval_config=EvalConfig(folds=5))
+            pruning_report(model, emb, labels, 0.0, before=EvalConfig(folds=5))
 
     def test_given_before_report_replaces_the_first_evaluation(self):
         model, emb, labels = self.fitted_setup()
         before = evaluate(emb, labels, EvalConfig(train_fraction=0.5, repeats=10, seed=0))
         reused = pruning_report(model, emb, labels, threshold=0.5, before=before)
         assert reused == pruning_report(model, emb, labels, threshold=0.5)
-        with pytest.raises(ValueError, match="train fraction 0.3"):
-            pruning_report(model, emb, labels, threshold=0.5, before=evaluate(
-                emb, labels, EvalConfig(train_fraction=0.3, repeats=10, seed=0)))
-        with pytest.raises(ValueError, match="10 repeats"):
-            pruning_report(model, emb, labels, threshold=0.5,
-                           eval_config=EvalConfig(repeats=3), before=before)
 
-    def test_before_under_another_seed_or_l2_strength_rejected(self):
-        # a report scored under seed 1 must not be passed off as seed 0's
+    @pytest.mark.parametrize("other", [EvalConfig(seed=1), EvalConfig(l2_strength=2.0, repeats=3)])
+    def test_pruned_embedding_is_scored_under_the_before_reports_config(self, other):
         model, emb, labels = self.fitted_setup()
-        for other in (EvalConfig(seed=1), EvalConfig(l2_strength=2.0)):
-            before = evaluate(emb, labels, other)
-            with pytest.raises(ValueError, match="does not match EvalConfig"):
-                pruning_report(model, emb, labels, threshold=0.5, before=before)
+        report = pruning_report(model, emb, labels, 0.5, before=evaluate(emb, labels, other))
+        assert report["eval_config"] == config_record(other)
+        assert report == pruning_report(model, emb, labels, 0.5, other)
 
     def test_pruning_everything_is_an_error(self):
         model, emb, labels = self.fitted_setup()

@@ -397,7 +397,7 @@ class TestPruningReportReuse:
             extract_embeddings(model, source),
             load_labels(demo_paths["labels"]),
             self.THRESHOLD,
-            eval_config=EvalConfig(train_fraction=0.3, repeats=3, seed=0, l2_strength=1.0),
+            before=EvalConfig(train_fraction=0.3, repeats=3, seed=0, l2_strength=1.0),
         )
         assert len(standalone["removed_dimensions"]) == self.copies(source)
         assert json.loads((run_dir / "pruning_report.json").read_text()) == standalone
@@ -442,6 +442,27 @@ class TestPruningReportReuse:
         first = json.loads((run_dir / "eval_train_0p3.json").read_text())
         assert report["evaluation_before"] == first
         assert calls == [0.3]  # only the pruned embedding is evaluated again
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_run_and_cli_stage_chain_agree(self, demo_paths, tmp_path, source):
+        config = demo_config(demo_paths, prune_threshold=self.THRESHOLD, embedding_source=source)
+        run_dir = run_pipeline(config, tmp_path / "run")
+        knn, model = tmp_path / "knn.txt", tmp_path / "model"
+        emb, pruned, report = tmp_path / "emb.txt", tmp_path / "pruned.txt", tmp_path / "r.json"
+        threshold = str(self.THRESHOLD)
+        assert main(["build-knn", "--features", config.features, "--k", "3",
+                     "--out", str(knn)]) == 0
+        assert main(["decompose", "--adj", config.edges, "--knn", str(knn), "--rank", "4",
+                     "--max-iters", "60", "--out", str(model)]) == 0
+        assert main(["embed", "--model", str(model), "--source", source, "--out", str(emb)]) == 0
+        assert main(["embed", "--model", str(model), "--source", source,
+                     "--prune-threshold", threshold, "--out", str(pruned)]) == 0
+        assert main(["interpret", "--model", str(model), "--threshold", threshold,
+                     "--out", str(tmp_path / "w.csv"), "--prune-eval", "--embeddings", str(emb),
+                     "--labels", config.labels, "--repeats", "3", "--report-out", str(report)]) == 0
+        assert report.read_bytes() == (run_dir / "pruning_report.json").read_bytes()
+        assert pruned.read_bytes() == (run_dir / "embeddings_pruned.txt").read_bytes()
+        assert json.loads(report.read_text())["removed_dimensions"]
 
 
 class TestSweep:
