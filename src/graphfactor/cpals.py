@@ -35,8 +35,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
-from .dataio import (config_record, load_json, load_matrix, parse_records, read_records, save_json,
-                     save_matrix, save_text)
+from .dataio import (config_record, load_json, load_matrix, load_table, save_json, save_matrix,
+                     save_text)
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp, mttkrp_from_products, slice_products
 
@@ -330,7 +330,7 @@ def load_model(directory) -> FactorModel:
     b = load_matrix(directory / "B.txt")
     c = load_matrix(directory / "C.txt")
     scales_path = directory / "scales.txt"
-    (scales,) = parse_records(scales_path, read_records(scales_path), "scale", "f")
+    (scales,) = load_table(scales_path, "scale", "f")
     if not (a.shape[1] == b.shape[1] == c.shape[1] == scales.shape[0]):
         raise DataError(f"{directory}: factor ranks disagree")
     model = FactorModel(A=a, B=b, C=c, column_scales=scales)
@@ -338,8 +338,13 @@ def load_model(directory) -> FactorModel:
     if run_path.exists():
         record = load_json(run_path)
         try:
-            model.fit_history = [float(v) for v in record.get("fit_history", [])]
-            model.converged = bool(record.get("converged", False))
+            history = record.get("fit_history", [])
+            model.fit_history = [float(v) for v in history]
+            model.converged = record.get("converged", False)
+            if not isinstance(history, list) or not all(type(v) in (int, float) for v in history):
+                raise TypeError("fit_history is not a list of numbers")
+            if not isinstance(model.converged, bool):
+                raise TypeError("converged is not true or false")
         except (AttributeError, TypeError, ValueError) as exc:
             raise DataError(f"{run_path}: malformed run record: {exc}") from exc
     return model

@@ -1,16 +1,23 @@
 """Loaders and writers for graphs, node features, labels, and embeddings.
 
 All on-disk formats are whitespace-delimited UTF-8 text over dense,
-0-indexed integer ids. Every text input is read by ``read_records`` and
-``parse_records``: lines starting with '#' are comments, blank lines are
-skipped, and a malformed line raises ParseError naming file:line. Floats
-are written with ``repr`` so that save/load round trips are bit-exact.
+0-indexed integer ids. Every text input is read by ``load_table`` (a
+matrix by ``load_matrix``): a plain ASCII file with no '#' comment is
+parsed by numpy's C reader, and any other file, or one that numpy reads
+with an error or a warning or whose values fail a test, by the record
+reader ``read_records`` and ``parse_records``. The record reader skips
+'#' comments and blank lines, and it is the one source of every error:
+a malformed line raises ParseError naming file:line. Both readers give
+the same arrays. Floats are written with ``repr`` so that save/load
+round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,6 +31,7 @@ __all__ = [
     "load_edge_list",
     "load_features",
     "load_labels",
+    "load_table",
     "save_matrix",
     "load_matrix",
     "save_json",
@@ -145,13 +153,78 @@ def parse_records(path, records, usage: str, kinds: str, default: str | None = N
     return [np.full(widths.size, c[0]) if c.size < widths.size else c for c in columns]
 
 
+# Bytes that the record reader and numpy's C reader read apart: the comment
+# mark, and the line breaks of str.splitlines that numpy reads as spaces.
+_C_UNSAFE = (b"#", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _c_read(data: bytes, dtype, ndmin: int = 2):
+    """``data`` parsed as one table of ``dtype`` by numpy's C reader, or None
+    where the record reader might read it otherwise: bytes that are not
+    ASCII or hold one of _C_UNSAFE, or any exception or warning from numpy
+    (an empty table warns)."""
+    if not data.isascii() or any(b in data for b in _C_UNSAFE):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.BytesIO(data), dtype=dtype, comments=None, ndmin=ndmin)
+    except Exception:  # whatever numpy raises, the record reader reads the file again
+        return None
+
+
+def _c_columns(data: bytes, kinds: str, default: str | None):
+    """The columns parse_records gives for ``data``, read by _c_read, or None
+    where that reading cannot be used. The first line's field count says
+    whether the records give the last field or leave it to ``default``."""
+    width = len(data.partition(b"\n")[0].split())
+    if not width or width not in (len(kinds), len(kinds) - (default is not None)):
+        return None
+    if len(set(kinds[:width])) == 1:  # one kind: a plain 2-d table
+        table = _c_read(data, _KINDS[kinds[0]][1])
+        columns = None if table is None or table.shape[1] != width else list(table.T)
+    else:  # a structured table, one named field per kind
+        dtype = [(f"f{k}", _KINDS[kind][1]) for k, kind in enumerate(kinds[:width])]
+        table = _c_read(data, dtype, ndmin=1)
+        columns = None if table is None else [table[name] for name in table.dtype.names]
+    if columns is None:
+        return None
+    if width < len(kinds):
+        parse, dtype = _KINDS[kinds[-1]][:2]
+        columns.append(np.full(columns[0].size, dtype(parse(default))))
+    if not all(_KINDS[kind][2](column).all() for kind, column in zip(kinds, columns)):
+        return None
+    return columns
+
+
+def _read_bytes(path):
+    """The bytes of ``path``, or None if it cannot be read (the record reader
+    then raises the error)."""
+    try:
+        return Path(path).read_bytes()
+    except OSError:
+        return None
+
+
+def load_table(path, usage: str, kinds: str, default: str | None = None) -> list:
+    """One array per field of the text table ``path``, each as
+    ``parse_records(path, read_records(path), usage, kinds, default)`` gives
+    it: by numpy's C reader where it reads the file as the record reader
+    does, and by the record reader otherwise, which raises every error."""
+    data = _read_bytes(path)
+    columns = None if data is None else _c_columns(data, kinds, default)
+    if columns is None:
+        return parse_records(path, read_records(path), usage, kinds, default)
+    return columns
+
+
 def load_edge_list(path) -> Graph:
     """Parse an undirected edge list ("u v" per line) into a Graph.
 
     The Graph keeps each edge once and drops and counts self-loops. The node
     count is 1 + the largest id; a list of self-loops alone raises DataError.
     """
-    u, v = parse_records(path, read_records(path), "u v", "ii")
+    u, v = load_table(path, "u v", "ii")
     graph = Graph(num_nodes=int(max(u.max(), v.max())) + 1, edges=np.column_stack([u, v]))
     if not graph.edges.size:
         raise DataError(f"{path}: edge list has no edges besides self-loops")
@@ -166,9 +239,7 @@ def load_features(path) -> sp.csr_matrix:
     summed. Values must be finite and nonnegative. The node and feature
     counts are 1 + the largest ids, zero-valued triples included.
     """
-    nodes, feats, vals = parse_records(
-        path, read_records(path), "node feature [value]", "iiw", default="1"
-    )
+    nodes, feats, vals = load_table(path, "node feature [value]", "iiw", default="1")
     kept = vals != 0.0
     return sp.coo_matrix(
         (vals[kept], (nodes[kept], feats[kept])),
@@ -180,7 +251,7 @@ def load_labels(path) -> np.ndarray:
     """Parse node labels ("node label" per line, multi-label allowed) into a
     boolean node-by-label matrix sized 1 + the largest ids; a row with no
     True entry is an unlabeled node. ``evaluate`` checks that it fits an embedding."""
-    nodes, labels = parse_records(path, read_records(path), "node label", "ii")
+    nodes, labels = load_table(path, "node label", "ii")
     matrix = np.zeros((int(nodes.max()) + 1, int(labels.max()) + 1), dtype=bool)
     matrix[nodes, labels] = True
     return matrix
@@ -203,6 +274,19 @@ def save_matrix(arr: np.ndarray, path) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by save_matrix: a 'rows cols' header record,
     then one record of ``cols`` finite numbers per row."""
+    data = _read_bytes(path)
+    if data is not None:  # numpy's C reader, as load_table uses it
+        head, _, body = data.partition(b"\n")
+        header, table = _c_columns(head, "ii", None), _c_read(body, np.float64)
+        # The header sizes nothing: it is only compared with the body read.
+        if (header is not None and table is not None
+                and table.shape == (header[0][0], header[1][0]) and np.isfinite(table).all()):
+            return table
+    return _load_matrix_records(path)
+
+
+def _load_matrix_records(path) -> np.ndarray:
+    """load_matrix by the record reader, which names a malformed line."""
     tokens, widths, line_nos = read_records(path)
     head = int(widths[0])
     n_rows, n_cols = (int(c[0]) for c in parse_records(

@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import parse_records, read_records, save_text
+from .dataio import load_table, save_text
 
 __all__ = [
     "KnnView",
@@ -185,7 +185,7 @@ def save_knn_edge_list(view: KnnView, path) -> None:
 
 def load_directed_edge_list(path) -> sp.csr_matrix:
     """Read a directed binary edge list ("u v" per line) into a sparse matrix."""
-    rows, cols = parse_records(path, read_records(path), "u v", "ii")
+    rows, cols = load_table(path, "u v", "ii")
     n = int(max(rows.max(), cols.max())) + 1
     mat = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     mat.data[:] = 1.0

@@ -520,7 +520,10 @@ class TestModelIO:
             load_model(tmp_path / "model")
 
     @pytest.mark.parametrize("bad", ['[1, 2]', '"text"', '{"fit_history": 5}',
-                                     '{"fit_history": null}', '{"fit_history": [1, "x"]}'])
+                                     '{"fit_history": null}', '{"fit_history": [1, "x"]}',
+                                     '{"fit_history": "12", "converged": "false"}',
+                                     '{"converged": "false"}', '{"fit_history": [true]}',
+                                     '{"fit_history": ["1.5"]}'])
     def test_malformed_run_record_is_a_data_error_naming_it(self, tmp_path, bad):
         rng = np.random.default_rng(16)
         x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))

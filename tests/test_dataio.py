@@ -13,7 +13,11 @@ from graphfactor import DataError, ParseError, load_edge_list, load_features, lo
 from graphfactor.cpals import load_model
 from graphfactor.dataio import (
     Graph,
+    _load_matrix_records,
     load_matrix,
+    load_table,
+    parse_records,
+    read_records,
     save_json,
     save_matrix,
     save_text,
@@ -84,8 +88,9 @@ class TestLoadEdgeList:
         assert 0.99 * 200_000 < len(g.edges) <= 200_000
         assert held <= 32 * 200_000
 
-    def test_parse_peak_stays_under_two_hundred_bytes_per_edge(self, tmp_path):
-        # The text and the tokens are held together, but never with the lines too.
+    def test_parse_peak_stays_under_one_hundred_twenty_bytes_per_edge(self, tmp_path):
+        # numpy's C reader makes no string per token: the peak is the file's
+        # bytes, the parsed table and the Graph's sort and dedup arrays.
         rng = np.random.default_rng(22)
         p = tmp_path / "e.txt"
         np.savetxt(p, rng.integers(20_000, size=(200_000, 2)), fmt="%d")
@@ -95,7 +100,7 @@ class TestLoadEdgeList:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 200 * 200_000
+        assert peak <= 120 * 200_000
 
     @pytest.mark.parametrize(
         "line",
@@ -441,3 +446,102 @@ class TestProperties:
         back = load_matrix(p)
         assert back.dtype == np.float64 and back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()  # -0.0 and 0.0 differ here
+
+
+# ------------------------------------------- C reader against record reader
+
+# Every loader's record format: usage, kinds, default.
+TABLE_FORMATS = {
+    "edges": ("u v", "ii", None),
+    "labels": ("node label", "ii", None),
+    "features": ("node feature [value]", "iiw", "1"),
+    "scales": ("scale", "f", None),
+}
+# Digits and number marks, the comment mark, the whitespace and line breaks
+# of str.split and str.splitlines, NUL, and a few non-ASCII characters:
+# NEL, no-break space, line separator, zero-width space, Arabic-Indic one.
+TABLE_CHARS = "0123456789+-._eE# \t\r\n\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u200b\u0661"
+
+
+@st.composite
+def table_texts(draw):
+    """Text over TABLE_CHARS: either free, or the records of a table (with a
+    matrix header, or without) that is well formed or has odd tokens,
+    spaces, line ends and field counts mixed in."""
+    chars = st.sampled_from(TABLE_CHARS)
+    form = draw(st.sampled_from(["free", "table", "matrix"]))
+    if form == "free":
+        return draw(st.text(chars, max_size=40))
+    if form == "matrix":
+        kinds = "f" * draw(st.integers(1, 3))
+    else:
+        kinds = draw(st.sampled_from(["ii", "iiw", "f"]))
+    ints = st.sampled_from(["0", "3", "17", "250", "007", "+4"])
+    floats = st.one_of(ints, st.sampled_from(["1.5", "-0.0", "2e3", ".5", "1e-300"]))
+    tokens = {"i": ints, "f": floats, "w": floats}
+    spaces, ends, widths = [" ", "\t", "  "], ["\n", "\r\n", "\n \n"], [len(kinds)]
+    if draw(st.booleans()):  # mix in what the C reader may not read as the record reader does
+        odd = st.one_of(st.text(chars, min_size=1, max_size=3),
+                        st.sampled_from(["-1", "1e400", "99999999999999999999", "1.0", "nan"]))
+        tokens = {kind: st.one_of(token, odd) for kind, token in tokens.items()}
+        spaces += ["\x1f", "\xa0", "\x00"]
+        ends += ["\r", "\x0c", "\x1e", "\x85", "\u2028", "\n#c\n"]
+        widths += [len(kinds) - 1, len(kinds) + 1]
+    rows = draw(st.integers(1, 5))
+    lines = [f"{rows} {len(kinds)}"] if form == "matrix" else []
+    for _ in range(rows):
+        width = draw(st.sampled_from(widths))
+        fields = [draw(tokens[kind]) for kind in (kinds + kinds[-1])[:width]]
+        lines.append(draw(st.sampled_from(spaces)).join(fields))
+    return "".join(line + draw(st.sampled_from(ends)) for line in lines)
+
+
+def outcome(load, *args):
+    """What a loader gives: each array's dtype, shape and bytes, or the
+    exception's type and message."""
+    try:
+        result = load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = result if isinstance(result, list) else [result]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestCReader:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(text=table_texts())
+    @example(text="1\x0c2")
+    @example(text="1 2 3 4")
+    @example(text="1_0 2")
+    @example(text="\u0661 2")
+    @example(text="1.0 2")
+    @example(text="1 2\r3 4")
+    @example(text="")
+    @example(text="99999999999999999999 1")
+    @example(text="3 1000000000")
+    @example(text="3 1000000000\n1 2\n3 4\n5 6\n")
+    @example(text="2 2\n1.5 -0.0\n2e3 7\n")
+    @example(text="0 1\n2 3 0.5\n")
+    @example(text="0 1 2\n2 3\n")
+    def test_load_table_reads_as_the_record_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("table") / "t.txt"
+        p.write_bytes(text.encode("utf-8"))
+        for usage, kinds, default in TABLE_FORMATS.values():
+            want = outcome(lambda: parse_records(p, read_records(p), usage, kinds, default))
+            assert outcome(load_table, p, usage, kinds, default) == want
+        assert outcome(load_matrix, p) == outcome(_load_matrix_records, p)
+
+    def test_a_huge_declared_width_allocates_nothing(self, tmp_path):
+        p = write(tmp_path, "m.txt", "3 1000000000\n1 2\n3 4\n5 6\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"m\.txt:2: expected '1000000000 values', got 2"):
+                load_matrix(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_a_file_that_cannot_be_read_names_it(self, tmp_path):
+        with pytest.raises(DataError, match=r"cannot read .*absent\.txt"):
+            load_table(tmp_path / "absent.txt", "u v", "ii")
