@@ -1,15 +1,16 @@
 """Loaders and writers for graphs, node features, labels, and embeddings.
 
 All on-disk formats are whitespace-delimited UTF-8 text over dense,
-0-indexed integer ids. Every text input is read by ``load_table`` (a
-matrix by ``load_matrix``): a plain ASCII file with no '#' comment is
-parsed by numpy's C reader, and any other file, or one that numpy reads
-with an error or a warning or whose values fail a test, by the record
-reader ``read_records`` and ``parse_records``. The record reader skips
-'#' comments and blank lines, and it is the one source of every error:
-a malformed line raises ParseError naming file:line. Both readers give
-the same arrays. Floats are written with ``repr`` so that save/load
-round trips are bit-exact.
+0-indexed integer ids. Every file is read once, by ``read_input``. A text
+input is loaded by ``load_table`` (a matrix by ``load_matrix``): a plain
+ASCII file with no '#' comment is parsed by numpy's C reader, and any
+other file, or one that numpy reads with an error or a warning or whose
+values fail a test, by the record reader ``read_records`` and
+``parse_records``, from the same bytes. The record reader skips '#'
+comments and blank lines, and it is the one source of every error: a
+malformed line raises ParseError naming file:line. Both readers give the
+same arrays. Floats are written with ``repr`` so that save/load round
+trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -81,17 +82,27 @@ _KINDS = {
 }
 
 
-def read_records(path) -> tuple:
-    """The records of a text input as (tokens, widths, line_nos).
+def read_input(path) -> bytes:
+    """The bytes of the file ``path``; every file the program reads is read
+    here. A file that cannot be read raises DataError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_records(path, data: bytes) -> tuple:
+    """The records of the text input ``data``, read from ``path``, as
+    (tokens, widths, line_nos).
 
     A record is a line that is neither blank nor a '#' comment. ``tokens``
     holds the whitespace-split fields of every record in file order;
     ``widths`` and ``line_nos`` give each record's field count and line
-    number. A file that cannot be read, or has no records, raises DataError.
+    number. Bytes that are not UTF-8, or hold no record, raise DataError.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeError) as exc:
+        text = data.decode("utf-8")
+    except UnicodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if "#" in text:
@@ -125,7 +136,9 @@ def parse_records(path, records, usage: str, kinds: str, default: str | None = N
     n = len(kinds)
     miscounted = np.flatnonzero((widths != n) & (widths != (n if default is None else n - 1)))
     if miscounted.size:
-        i = miscounted[0]
+        i = miscounted[0]  # a bad token on an earlier line is named first
+        parse_records(path, (tokens[:widths[:i].sum()], widths[:i], line_nos[:i]),
+                      usage, kinds, default)
         raise ParseError(path, int(line_nos[i]), f"expected '{usage}', got {widths[i]} fields")
     short = widths < n
     if not short.any():
@@ -197,24 +210,16 @@ def _c_columns(data: bytes, kinds: str, default: str | None):
     return columns
 
 
-def _read_bytes(path):
-    """The bytes of ``path``, or None if it cannot be read (the record reader
-    then raises the error)."""
-    try:
-        return Path(path).read_bytes()
-    except OSError:
-        return None
-
-
 def load_table(path, usage: str, kinds: str, default: str | None = None) -> list:
     """One array per field of the text table ``path``, each as
-    ``parse_records(path, read_records(path), usage, kinds, default)`` gives
-    it: by numpy's C reader where it reads the file as the record reader
-    does, and by the record reader otherwise, which raises every error."""
-    data = _read_bytes(path)
-    columns = None if data is None else _c_columns(data, kinds, default)
+    ``parse_records(path, read_records(path, data), usage, kinds, default)``
+    gives it for the file's bytes ``data``: by numpy's C reader where it
+    reads them as the record reader does, and by the record reader
+    otherwise, which raises every error."""
+    data = read_input(path)
+    columns = _c_columns(data, kinds, default)
     if columns is None:
-        return parse_records(path, read_records(path), usage, kinds, default)
+        return parse_records(path, read_records(path, data), usage, kinds, default)
     return columns
 
 
@@ -274,20 +279,19 @@ def save_matrix(arr: np.ndarray, path) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by save_matrix: a 'rows cols' header record,
     then one record of ``cols`` finite numbers per row."""
-    data = _read_bytes(path)
-    if data is not None:  # numpy's C reader, as load_table uses it
-        head, _, body = data.partition(b"\n")
-        header, table = _c_columns(head, "ii", None), _c_read(body, np.float64)
-        # The header sizes nothing: it is only compared with the body read.
-        if (header is not None and table is not None
-                and table.shape == (header[0][0], header[1][0]) and np.isfinite(table).all()):
-            return table
-    return _load_matrix_records(path)
+    data = read_input(path)
+    head, _, body = data.partition(b"\n")  # numpy's C reader, as load_table uses it
+    header, table = _c_columns(head, "ii", None), _c_read(body, np.float64)
+    # The header sizes nothing: it is only compared with the body read.
+    if (header is not None and table is not None
+            and table.shape == (header[0][0], header[1][0]) and np.isfinite(table).all()):
+        return table
+    return _load_matrix_records(path, data)
 
 
-def _load_matrix_records(path) -> np.ndarray:
+def _load_matrix_records(path, data: bytes) -> np.ndarray:
     """load_matrix by the record reader, which names a malformed line."""
-    tokens, widths, line_nos = read_records(path)
+    tokens, widths, line_nos = read_records(path, data)
     head = int(widths[0])
     n_rows, n_cols = (int(c[0]) for c in parse_records(
         path, (tokens[:head], widths[:1], line_nos[:1]), "rows cols", "ii"))
@@ -338,14 +342,10 @@ def config_record(config) -> dict:
 def load_json(path):
     """Read a JSON record such as save_json writes."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        return json.loads(read_input(path).decode("utf-8"))
+    except ValueError as exc:  # UnicodeError is a ValueError
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def sha256_file(path) -> str:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(read_input(path)).hexdigest()

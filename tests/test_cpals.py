@@ -523,13 +523,14 @@ class TestModelIO:
                                      '{"fit_history": null}', '{"fit_history": [1, "x"]}',
                                      '{"fit_history": "12", "converged": "false"}',
                                      '{"converged": "false"}', '{"fit_history": [true]}',
-                                     '{"fit_history": ["1.5"]}'])
+                                     '{"fit_history": ["1.5"]}', '{', b"\xff"])
     def test_malformed_run_record_is_a_data_error_naming_it(self, tmp_path, bad):
         rng = np.random.default_rng(16)
         x = Tensor3.from_dense(random_tensor(rng, (4, 4, 2)))
         config = AlsConfig(rank=2, seed=0, max_iters=5, tol=1e-12)
         save_model(decompose(x, config), tmp_path / "model", config)
-        (tmp_path / "model" / "run.json").write_text(bad, encoding="utf-8")
+        (tmp_path / "model" / "run.json").write_bytes(
+            bad if isinstance(bad, bytes) else bad.encode("utf-8"))
         with pytest.raises(DataError, match=r"run\.json"):
             load_model(tmp_path / "model")
 

@@ -354,6 +354,8 @@ FORMATS = {
     "matrix": ("m.txt", load_matrix, ["3 2", "1.0 2.0", "3.0 4.0", "5.0 6.0"], "3.0 inf"),
     "scales": ("scales.txt", _load_scales, ["1.5", "2.5", "0.5", "4.0"], "nan"),
 }
+# A record with a bad field value, where the format's malformed record has a bad field count.
+BAD_FIELDS = {"labels": "2 x", "knn": "2 x"}
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
@@ -365,6 +367,13 @@ class TestEveryFormat:
             load(p)
         assert err.value.line_no == 3
         assert f"{filename}:3:" in str(err.value)
+
+    def test_a_bad_field_is_named_before_a_later_miscount(self, tmp_path, name):
+        filename, load, records, bad = FORMATS[name]
+        lines = records[:2] + [BAD_FIELDS.get(name, bad), records[3] + " 1 1"]
+        p = write(tmp_path, filename, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"{filename}:3: field"):
+            load(p)
 
     def test_comment_and_blank_lines_are_skipped(self, tmp_path, name):
         filename, load, records, _ = FORMATS[name]
@@ -527,9 +536,10 @@ class TestCReader:
         p = tmp_path_factory.mktemp("table") / "t.txt"
         p.write_bytes(text.encode("utf-8"))
         for usage, kinds, default in TABLE_FORMATS.values():
-            want = outcome(lambda: parse_records(p, read_records(p), usage, kinds, default))
+            want = outcome(lambda: parse_records(p, read_records(p, p.read_bytes()),
+                                                 usage, kinds, default))
             assert outcome(load_table, p, usage, kinds, default) == want
-        assert outcome(load_matrix, p) == outcome(_load_matrix_records, p)
+        assert outcome(load_matrix, p) == outcome(_load_matrix_records, p, p.read_bytes())
 
     def test_a_huge_declared_width_allocates_nothing(self, tmp_path):
         p = write(tmp_path, "m.txt", "3 1000000000\n1 2\n3 4\n5 6\n")
@@ -545,3 +555,20 @@ class TestCReader:
     def test_a_file_that_cannot_be_read_names_it(self, tmp_path):
         with pytest.raises(DataError, match=r"cannot read .*absent\.txt"):
             load_table(tmp_path / "absent.txt", "u v", "ii")
+
+    def test_each_load_reads_the_file_once(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(method):
+            def read(self, *args, **kwargs):
+                reads.append(self.name)
+                return method(self, *args, **kwargs)
+            return read
+
+        for name in ("read_bytes", "read_text"):
+            monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
+        edges = write(tmp_path, "e.txt", "# an edge list\n0 1\n1 2\n")
+        matrix = write(tmp_path, "m.txt", "# a matrix\n2 1\n1.5\n2.5\n")
+        assert load_edge_list(edges).edges.tolist() == [[0, 1], [1, 2]]
+        assert load_matrix(matrix).tolist() == [[1.5], [2.5]]
+        assert reads == ["e.txt", "m.txt"]

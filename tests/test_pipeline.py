@@ -375,6 +375,19 @@ class TestRunPipeline:
         monkeypatch.delenv("GRAPHFACTOR_RUNS")
         assert default_run_root() == Path("runs")
 
+    def test_runs_without_a_directory_get_distinct_timestamped_ones(
+            self, demo_paths, monkeypatch, tmp_path):
+        monkeypatch.setenv("GRAPHFACTOR_RUNS", str(tmp_path))
+        monkeypatch.setattr(graphfactor.pipeline.time, "strftime", lambda fmt: "20260101-120000")
+        first = run_pipeline(demo_config(demo_paths))
+        second = run_pipeline(demo_config(demo_paths))
+        assert (first, second) == (tmp_path / "run-20260101-120000",
+                                   tmp_path / "run-20260101-120000-1")
+        for run_dir in (first, second):
+            assert json.loads((run_dir / "manifest.json").read_text())["status"] == "ok"
+        sweep(demo_config(demo_paths), "d", [2])
+        assert (tmp_path / "run-20260101-120000-2" / "d_2" / "manifest.json").is_file()
+
 
 class TestPruningReportReuse:
     THRESHOLD = 3.4  # removes one of the four demo dimensions
