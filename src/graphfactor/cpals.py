@@ -35,8 +35,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
-from .dataio import (config_record, load_json, load_matrix, load_table, save_json, save_matrix,
-                     save_text)
+from .dataio import (config_record, format_table, load_json, load_matrix, load_table, save_json,
+                     save_matrix, save_text)
 from .errors import DataError, NumericalError
 from .tensor import Tensor3, fit_from_view_mttkrp, mttkrp, mttkrp_from_products, slice_products
 
@@ -313,7 +313,8 @@ def save_model(model: FactorModel, directory, config: AlsConfig) -> None:
     save_matrix(model.A, directory / "A.txt")
     save_matrix(model.B, directory / "B.txt")
     save_matrix(model.C, directory / "C.txt")
-    save_text(directory / "scales.txt", "".join(f"{float(v)!r}\n" for v in model.column_scales))
+    scales = np.asarray(model.column_scales, dtype=np.float64).reshape(-1, 1)
+    save_text(directory / "scales.txt", format_table(scales))
     record = {
         "rank": model.rank,
         "converged": model.converged,

@@ -9,20 +9,27 @@ values fail a test, by the record reader ``read_records`` and
 ``parse_records``, from the same bytes. The record reader skips '#'
 comments and blank lines, and it is the one source of every error: a
 malformed line raises ParseError naming file:line. Both readers give the
-same arrays. Floats are written with ``repr`` so that save/load round
-trips are bit-exact.
+same arrays. A table is written by ``format_table`` in row blocks of
+about ``_BLOCK_VALUES`` values, so a writer holds one block's text at a
+time: orjson's C writer spells each float in ``repr``'s text (the
+shortest digits that read back to the same double, so save/load round
+trips are bit-exact) and each integer in decimal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
+import re
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 import scipy.sparse as sp
 
 from .errors import DataError, ParseError
@@ -262,18 +269,45 @@ def load_labels(path) -> np.ndarray:
     return matrix
 
 
+# Values per block of format_table: its text is all a writer holds at once.
+_BLOCK_VALUES = 1 << 16
+# Where orjson's float text differs from repr's: an exponent without sign
+# or padding (1e16, 2.5e-7 for 1e+16, 2.5e-07), and fixed notation for the
+# 1e-5 decade (0.00001234 for 1.234e-05). The lookbehind skips a number
+# that only ends in it, such as 10.00001; it follows the literal, which
+# keeps the scan fast.
+_EXPONENT = re.compile(rb"e(-?\d+)")
+_E5_DECADE = re.compile(rb"0\.0000(?<![0-9]0\.0000)(\d)(\d*)")
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The rows of a 2-d array as text lines of space-separated values."""
+    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = _EXPONENT.sub(lambda m: b"e%+03d" % int(m[1]), text)
+    text = _E5_DECADE.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
+    text = text[2:-2].replace(b"],[", b"\n").replace(b",", b" ")  # [[1.0,2.0],[3.0,4.0]]
+    return text + b"\n" if text else text
+
+
+def format_table(table: np.ndarray) -> Iterator[bytes]:
+    """The text of a 2-d table, one line per row, as byte chunks of
+    ``_BLOCK_VALUES // columns`` rows (at least one): each value as ``repr``
+    of its Python float or int, separated by spaces. A table that is not
+    2-d with at least one column, or holds a non-finite value, raises
+    ValueError."""
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError(f"expected a 2-d matrix with at least one column, got shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("matrix contains non-finite entries")
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    return (_format_rows(table[i:i + rows]) for i in range(0, table.shape[0], rows))
+
+
 def save_matrix(arr: np.ndarray, path) -> None:
     """Write a dense matrix as 'rows cols' header plus one row per line."""
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix with at least one column, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
-    lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    # repr of Python floats, one row converted at a time: no numpy scalar
-    # per value, and no list of every value held at once
-    lines.extend(" ".join(map(repr, row.tolist())) for row in arr)
-    save_text(path, "\n".join(lines) + "\n")
+    rows = format_table(arr)
+    save_text(path, itertools.chain([f"{arr.shape[0]} {arr.shape[1]}\n".encode()], rows))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -305,12 +339,14 @@ def _load_matrix_records(path, data: bytes) -> np.ndarray:
     return np.array(columns, dtype=np.float64).reshape(n_cols, n_rows).T.copy()
 
 
-def save_text(path, text: str) -> None:
-    """Replace ``path`` whole with UTF-8 ``text`` by way of a renamed temporary
-    file. A failed write removes it and leaves the old file as it was."""
+def save_text(path, text: str | Iterable[bytes]) -> None:
+    """Replace ``path`` whole with ``text``, one str written as UTF-8 or byte
+    chunks written in turn, by way of a renamed temporary file. A failed
+    write removes it and leaves the old file as it was."""
     temp = Path(f"{path}{TEMP_SUFFIX}")
     try:
-        temp.write_text(text, encoding="utf-8")
+        with temp.open("wb") as out:
+            out.writelines([text.encode("utf-8")] if isinstance(text, str) else text)
         temp.replace(path)
     except BaseException:
         temp.unlink(missing_ok=True)

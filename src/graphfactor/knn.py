@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import load_table, save_text
+from .dataio import format_table, load_table, save_text
 
 __all__ = [
     "KnnView",
@@ -179,8 +179,7 @@ def save_knn_edge_list(view: KnnView, path) -> None:
         raise ValueError("the K-NN view has no edges (no two nodes have a positive similarity); "
                          "build the tensor without it (--no-knn-view)")
     nodes = np.repeat(np.arange(view.num_nodes), np.diff(view.indptr))
-    text = "".join(map("{} {}\n".format, nodes.tolist(), view.indices.tolist()))
-    save_text(path, text)
+    save_text(path, format_table(np.column_stack([nodes, view.indices])))
 
 
 def load_directed_edge_list(path) -> sp.csr_matrix:

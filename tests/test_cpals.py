@@ -534,6 +534,16 @@ class TestModelIO:
         with pytest.raises(DataError, match=r"run\.json"):
             load_model(tmp_path / "model")
 
+    def test_scales_text_is_the_repr_of_each_scale(self, tmp_path):
+        scales = np.array([0.1, 3.0, 1e16, 2.5e-7, 1.234e-05, 5e-324, 10.00001, 123456.78901234567])
+        rank = scales.size
+        model = FactorModel(A=np.ones((3, rank)), B=np.ones((3, rank)), C=np.ones((2, rank)),
+                            column_scales=scales)
+        config = AlsConfig(rank=rank, seed=0, max_iters=5, tol=1e-12)
+        save_model(model, tmp_path / "model", config)
+        text = (tmp_path / "model" / "scales.txt").read_text(encoding="utf-8")
+        assert text == "".join(f"{float(v)!r}\n" for v in scales)
+
     @pytest.mark.parametrize("bad", ["nan", "abc", "-inf", "1.0 2.0"])
     def test_scales_must_be_one_finite_number_per_line(self, tmp_path, bad):
         rng = np.random.default_rng(15)

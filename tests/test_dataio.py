@@ -1,6 +1,7 @@
 """File-format loaders/writers: parsing rules, validation, round trips."""
 
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from graphfactor import DataError, ParseError, load_edge_list, load_features, load_labels
+from graphfactor import dataio
 from graphfactor.cpals import load_model
 from graphfactor.dataio import (
+    _BLOCK_VALUES,
     Graph,
     _load_matrix_records,
     load_matrix,
@@ -41,6 +44,24 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def repr_text(arr) -> str:
+    """What save_matrix writes for ``arr``: the 'rows cols' header, then each
+    row as the ``repr`` of its values as Python floats, spaces between."""
+    rows = np.asarray(arr, dtype=np.float64).tolist()
+    lines = (" ".join(map(repr, row)) + "\n" for row in rows)
+    return "".join([f"{np.shape(arr)[0]} {np.shape(arr)[1]}\n", *lines])
+
+
+def assert_text_equals(path, want: str):
+    """The file's text is ``want``; a failure names the first line that differs."""
+    got = path.read_text(encoding="utf-8")
+    if got != want:
+        got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i + 1}: got {got_lines[i:i + 1]}, want {want_lines[i:i + 1]}")
 
 
 # ------------------------------------------------------------- edge lists
@@ -241,13 +262,34 @@ class TestMatrixFormat:
     def test_text_is_the_repr_of_each_value_as_a_python_float(self, tmp_path):
         rng = np.random.default_rng(3)
         special = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1.2345678901234568e17, -1.7976931348623157e308]
-        for arr in (rng.standard_normal((40, 7)) * np.logspace(-12, 12, 7),
-                    np.array([special]), np.arange(6).reshape(2, 3)):
+        bit_patterns = rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64).view(np.float64)
+        finite = bit_patterns[np.isfinite(bit_patterns)]
+        decades = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        edges = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
+        # the ends of the band where orjson writes fixed notation and repr does
+        # not, and numbers whose digits hold that band's text
+        band = np.array([1e-5, np.nextafter(1e-4, 0), 10.00001, 100.00001234])
+        cols = 7
+        for arr in (rng.standard_normal((40, cols)) * np.logspace(-12, 12, cols),
+                    np.array([special]), np.arange(6).reshape(2, 3),
+                    finite[:finite.size // 8 * 8].reshape(-1, 8),
+                    np.concatenate([edges, -edges, band, -band])[:, None],
+                    np.zeros((0, 3)), rng.standard_normal((5, 1)),
+                    *(rng.standard_normal((_BLOCK_VALUES // cols + d, cols)) for d in (-1, 0, 1))):
             p = tmp_path / "m.txt"
             save_matrix(arr, p)
-            rows = [" ".join(repr(float(v)) for v in row) for row in np.asarray(arr, np.float64)]
-            want = "\n".join([f"{arr.shape[0]} {arr.shape[1]}", *rows]) + "\n"
-            assert p.read_text(encoding="utf-8") == want
+            assert_text_equals(p, repr_text(arr))
+
+    def test_save_holds_one_block_of_text(self, tmp_path):
+        # 26 MB of text; writing it whole peaked at 73 MB
+        arr = np.random.default_rng(4).standard_normal((20_000, 64))
+        tracemalloc.start()
+        try:
+            save_matrix(arr, tmp_path / "m.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_header_format(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -292,20 +334,32 @@ def _fail_rename(self, target):
 
 class TestSaveText:
     @pytest.mark.parametrize("old", [None, "old bytes\n"])
-    @pytest.mark.parametrize("failure", ["encode", "rename"])
+    @pytest.mark.parametrize("failure", ["encode", "rename", "midstream"])
     def test_failed_write_keeps_the_old_file_and_no_temporary(
         self, tmp_path, monkeypatch, old, failure
     ):
         target = tmp_path / "out.txt"
         if old is not None:
             target.write_text(old, encoding="utf-8")
-        text = "new bytes\n"
+        write = partial(save_text, target, "new bytes\n")
         if failure == "encode":  # fails after the temporary file was opened
-            text = "partial \ud800\n"
-        else:  # fails after the temporary file was written in full
+            write = partial(save_text, target, "partial \ud800\n")
+        elif failure == "rename":  # fails after the temporary file was written in full
             monkeypatch.setattr(Path, "replace", _fail_rename)
+        else:  # the formatter fails on the second block, after the first was written
+            format_rows, calls = dataio._format_rows, []
+
+            def fail_on_the_second_block(block):
+                calls.append(block)
+                if len(calls) == 2:
+                    assert Path(f"{target}{dataio.TEMP_SUFFIX}").stat().st_size > 0
+                    raise OSError("no space left on device")
+                return format_rows(block)
+
+            monkeypatch.setattr(dataio, "_format_rows", fail_on_the_second_block)
+            write = partial(save_matrix, np.ones((3 * _BLOCK_VALUES, 1)), target)
         with pytest.raises((UnicodeEncodeError, OSError)):
-            save_text(target, text)
+            write()
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.txt"])
         if old is not None:
             assert target.read_text(encoding="utf-8") == old
@@ -455,6 +509,7 @@ class TestProperties:
         back = load_matrix(p)
         assert back.dtype == np.float64 and back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()  # -0.0 and 0.0 differ here
+        assert p.read_text(encoding="utf-8") == repr_text(arr)
 
 
 # ------------------------------------------- C reader against record reader

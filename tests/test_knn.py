@@ -297,6 +297,17 @@ class TestEdgeListRoundTrip:
         save_knn_edge_list(view, p)
         assert p.read_text().splitlines()[:2] == ["0 1", "0 2"]
 
+    def test_file_is_each_edge_in_decimal(self, tmp_path):
+        # 40k edges: more than one block of the table writer
+        rng = np.random.default_rng(6)
+        n, k = 8000, 5
+        indices = rng.integers(n, size=n * k)
+        view = knn.KnnView(num_nodes=n, k=k, indptr=np.arange(0, n * k + 1, k), indices=indices)
+        p = tmp_path / "z.txt"
+        save_knn_edge_list(view, p)
+        nodes = np.repeat(np.arange(n), k)
+        assert p.read_text() == "".join(map("{} {}\n".format, nodes.tolist(), indices.tolist()))
+
     def test_save_refuses_a_view_with_no_edges(self, tmp_path):
         # no two nodes share a feature: no positive similarity, no edge
         view = build_knn_view(feats(np.eye(4)), k=1)
