@@ -16,6 +16,15 @@ Cholesky factor, after a LAPACK estimate of its reciprocal condition
 number says the inverse is accurate; an ill-conditioned or singular Gram
 takes the pseudoinverse instead and is counted.
 
+Besides the sparse slices, a sweep holds at most 6 + L arrays of nodes x
+rank float64 for L views, 8 for the two-view tensor (about 8 x nodes x
+rank x 8 bytes): the current model's A and B, the extrapolated B of a
+try, the new A, its L slice products, and the second-node-mode MTTKRP
+with the one term buffer it sums through. The first node mode forms
+one view's slice product at a time; the new node factors are normalized
+in place. Of the model kept before the current one, ``decompose`` keeps
+only B and the weighted C, and only until the try built from them.
+
 ``decompose`` sets every loaded OpenBLAS to one thread while it runs and
 restores the previous counts when it returns, so its factors do not
 depend on the caller's BLAS thread count. The setting is process-global:
@@ -137,20 +146,35 @@ class FactorModel:
 
     def normalized(self) -> "FactorModel":
         """Absorb the node-factor column norms into column_scales."""
-        return self._absorb_norms(np.linalg.norm(self.A, axis=0), np.linalg.norm(self.B, axis=0))
-
-    def _absorb_norms(self, a_norms, b_norms) -> "FactorModel":
-        """``normalized`` with the column norms of A and B given."""
-        a_div = np.where(a_norms > 0, a_norms, 1.0)
-        b_div = np.where(b_norms > 0, b_norms, 1.0)
+        a_div, b_div, scales = self._canonical()
         return dataclasses.replace(
             self,
             A=self.A / a_div,
             B=self.B / b_div,
             C=self.C.copy(),
-            column_scales=self.column_scales * a_div * b_div,
+            column_scales=scales,
             fit_history=list(self.fit_history),
         )
+
+    def normalized_scales(self) -> np.ndarray:
+        """``normalized().column_scales``, computed without copying A or B."""
+        return self._canonical()[2]
+
+    def _canonical(self) -> tuple:
+        """``_absorb_norms`` of this model's node-factor column norms."""
+        return _absorb_norms(
+            self.column_scales, np.linalg.norm(self.A, axis=0), np.linalg.norm(self.B, axis=0)
+        )
+
+
+def _absorb_norms(column_scales, a_norms, b_norms) -> tuple:
+    """The divisors that give A and B unit-norm columns, and the scales that absorb them.
+
+    A zero column divides by 1. Returns (A divisors, B divisors, scales).
+    """
+    a_div = np.where(a_norms > 0, a_norms, 1.0)
+    b_div = np.where(b_norms > 0, b_norms, 1.0)
+    return a_div, b_div, column_scales * a_div * b_div
 
 
 def init_factors(dims, config: AlsConfig) -> FactorModel:
@@ -219,29 +243,42 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
     b_gram = b_raw.T @ b_raw
     ab_gram = a_gram * b_gram
     m_view = mttkrp_from_products(products, b_raw, 2)
+    del products
     c_raw, c_fell = _solve_gram(m_view, ab_gram)
 
     fit_history = [*model.fit_history, fit_from_view_mttkrp(x, m_view, ab_gram, c_raw)]
-    updated = dataclasses.replace(
+    a_div, b_div, scales = _absorb_norms(
+        np.ones(model.rank), np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram))
+    )
+    a_raw /= a_div
+    b_raw /= b_div
+    return dataclasses.replace(
         model,
         A=a_raw,
         B=b_raw,
         C=c_raw,
-        column_scales=np.ones(model.rank),
+        column_scales=scales,
         fit_history=fit_history,
         gram_fallbacks=model.gram_fallbacks + a_fell + b_fell + c_fell,
     )
-    return updated._absorb_norms(np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram)))
 
 
-def _extrapolated(previous: FactorModel, current: FactorModel, step: float) -> FactorModel:
+def _extrapolated(previous: tuple, current: FactorModel, step: float) -> FactorModel:
     """``current`` moved on by ``step`` times the step from ``previous``,
-    in the factors a sweep reads: B and the scale-weighted C."""
+    in the factors a sweep reads: B and the scale-weighted C.
+
+    ``previous`` holds those two factors of the kept model before
+    ``current``. The moved B is built in one buffer.
+    """
+    previous_b, previous_weighted_c = previous
+    moved_b = current.B - previous_b
+    moved_b *= step
+    moved_b += current.B
     weighted_c = current.C * current.column_scales
     return dataclasses.replace(
         current,
-        B=current.B + step * (current.B - previous.B),
-        C=weighted_c + step * (weighted_c - previous.C * previous.column_scales),
+        B=moved_b,
+        C=weighted_c + step * (weighted_c - previous_weighted_c),
         column_scales=np.ones(current.rank),
     )
 
@@ -277,26 +314,32 @@ def decompose(x: Tensor3, config: AlsConfig) -> FactorModel:
     model = init_factors(x.dims, config)
     with single_blas_thread() as threads:
         model.blas_threads = threads
-        previous = None  # the kept model before ``model``
+        previous = None  # B and the weighted C of the kept model before ``model``
         start = None  # sweeps spent when extrapolation began
         cost = 1  # sweeps spent on the next kept model: 2 after a rejected try
         for spent in range(1, config.max_iters + 1):
             if start is None or cost == 2:
+                previous = None
                 kept = als_step(x, model)
             else:
-                kept = als_step(x, _extrapolated(previous, model, (spent - start + 1) ** (1 / 3)))
+                trial = _extrapolated(previous, model, (spent - start + 1) ** (1 / 3))
+                previous = None
+                kept = als_step(x, trial)
+                del trial
                 if not kept.fit_history[-1] > model.fit_history[-1]:
                     model.extrapolations_rejected += 1
                     model.gram_fallbacks = kept.gram_fallbacks
+                    del kept
                     cost = 2
                     continue
                 kept.extrapolations_accepted += 1
             current = kept.fit_history[-1]
             if not np.isfinite(current):
                 raise NumericalError("fit became non-finite during ALS")
-            previous, model = model, kept
-            if previous.fit_history:
-                gain = current - previous.fit_history[-1]
+            last_fit = model.fit_history[-1] if model.fit_history else None
+            previous, model = (model.B, model.C * model.column_scales), kept
+            if last_fit is not None:
+                gain = current - last_fit
                 if abs(gain) / cost < config.tol:
                     model.converged = True
                     break

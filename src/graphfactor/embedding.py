@@ -29,10 +29,9 @@ def view_dimension_weights(model: FactorModel) -> np.ndarray:
 
     Computed on the canonical (node factors column-normalized) form so
     the value does not depend on how magnitude is split between the
-    factors and the scales.
+    factors and the scales. Only its scales are formed, not its factors.
     """
-    canonical = model.normalized()
-    return np.abs(canonical.C * canonical.column_scales)
+    return np.abs(model.C * model.normalized_scales())
 
 
 def dimension_weights(model: FactorModel) -> np.ndarray:

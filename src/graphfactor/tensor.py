@@ -105,15 +105,17 @@ def mttkrp(x: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     ``f1`` and ``f2`` are the factors of the two non-target modes in
     ascending mode order; the result equals the mode-``mode``
     matricization times the Khatri-Rao product (f2 column-wise-Kron f1),
-    computed from the sparse slices without forming either product; every
-    mode ends in ``mttkrp_from_products``.
+    computed from the sparse slices without forming either product. Mode
+    0 forms one view's slice product at a time and scales it in place.
     """
     if mode not in (0, 1, 2):
         raise ValueError(f"mode must be 0, 1, or 2, got {mode}")
     if mode == 0:
         f1 = np.asarray(f1, dtype=np.float64)
         _check_factor("f1", f1, x.dims[1], None)
-        return mttkrp_from_products(tuple(s @ f1 for s in x.slices), f2, 1)
+        f2 = np.asarray(f2, dtype=np.float64)
+        _check_factor("f2", f2, len(x.slices), f1.shape[1])
+        return _weighted_sum((s @ f1 for s in x.slices), f2, (x.dims[0], f1.shape[1]), owned=True)
     return mttkrp_from_products(slice_products(x, f1), f2, mode)
 
 
@@ -146,11 +148,24 @@ def mttkrp_from_products(products, f2: np.ndarray, mode: int) -> np.ndarray:
     f2 = np.asarray(f2, dtype=np.float64)
     _check_factor("f2", f2, len(products) if mode == 1 else j_dim, rank)
     if mode == 1:
-        out = np.zeros((j_dim, rank))
-        for l, p in enumerate(products):
-            out += p * f2[l]
-        return out
+        return _weighted_sum(products, f2, (j_dim, rank), owned=False)
     return np.array([np.einsum("jr,jr->r", f2, p) for p in products])
+
+
+def _weighted_sum(products, weights: np.ndarray, shape, owned: bool) -> np.ndarray:
+    """sum_l products[l] * weights[l], the modes 0 and 1 of the MTTKRP.
+
+    The terms are added in view order into zeros, never into the first
+    term: 0.0 + (-0.0) is 0.0, so a node that no view names gets a row of
+    +0.0 whatever the signs of the weights. ``owned`` products are the
+    caller's to overwrite and are scaled in place; otherwise one term
+    buffer serves every view.
+    """
+    out = np.zeros(shape)
+    term = None if owned else np.empty(shape)
+    for p, w in zip(products, weights):
+        out += np.multiply(p, w, out=p if owned else term)
+    return out
 
 
 def reconstruct_view(model, view: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +16,31 @@ import scipy.linalg
 
 import graphfactor._blas
 import graphfactor.cpals
-from graphfactor import AlsConfig, decompose
+from graphfactor import AlsConfig, build_knn_view, decompose
 from graphfactor._blas import openblas_thread_controls
 from graphfactor.cpals import (
     FactorModel,
+    _extrapolated,
     _solve_gram,
     als_step,
     init_factors,
     load_model,
     save_model,
 )
+from graphfactor.dataio import Graph
 from graphfactor.errors import DataError, NumericalError, ParseError
-from graphfactor.tensor import Tensor3, mttkrp, reconstruct_view
+from graphfactor.tensor import (
+    Tensor3,
+    fit_from_view_mttkrp,
+    mttkrp,
+    mttkrp_from_products,
+    reconstruct_view,
+    slice_products,
+    stack_views,
+)
 
 from oracles import oracle_als, oracle_als_sweep, oracle_fit
-from synthdata import WEBKB_SHAPED, planted_dataset, write_dataset
+from synthdata import CITESEER_SHAPED, WEBKB_SHAPED, planted_dataset, write_dataset
 
 
 def random_tensor(rng, dims, density=0.6):
@@ -384,6 +395,90 @@ class TestExtrapolation:
         assert want.converged and m.converged
         assert m.iterations + m.extrapolations_rejected <= 0.7 * want.iterations
         assert m.fit_history[-1] >= (1 - 1e-3) * want.fit_history[-1]
+
+
+def out_of_place_sweep(x, b, weighted_c):
+    """An ALS sweep from B and the scale-weighted C, each step a new array:
+    (A, B, C, column_scales, fit)."""
+    c_gram = weighted_c.T @ weighted_c
+    a_raw, _ = _solve_gram(mttkrp(x, b, weighted_c, 0), (b.T @ b) * c_gram)
+    a_gram = a_raw.T @ a_raw
+    products = slice_products(x, a_raw)
+    b_raw, _ = _solve_gram(mttkrp_from_products(products, weighted_c, 1), a_gram * c_gram)
+    b_gram = b_raw.T @ b_raw
+    m_view = mttkrp_from_products(products, b_raw, 2)
+    c_raw, _ = _solve_gram(m_view, a_gram * b_gram)
+    fit = fit_from_view_mttkrp(x, m_view, a_gram * b_gram, c_raw)
+    a_norms, b_norms = np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram))
+    a_div = np.where(a_norms > 0, a_norms, 1.0)
+    b_div = np.where(b_norms > 0, b_norms, 1.0)
+    return a_raw / a_div, b_raw / b_div, c_raw, np.ones(len(a_div)) * a_div * b_div, fit
+
+
+def summed_view_terms(slices, f1, weights):
+    """sum_l (slices[l] @ f1) * weights[l], each partial sum a new array, from zeros."""
+    out = np.zeros((slices[0].shape[0], f1.shape[1]))
+    for s, w in zip(slices, weights):
+        out = out + (s @ f1) * w
+    return out
+
+
+def bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.int64)
+
+
+class TestSweepWorkspace:
+    def test_sweep_and_extrapolated_try_match_out_of_place_reference_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        dense = rng.random((10, 10, 2)) * (rng.random((10, 10, 2)) < 0.5)
+        dense[3, :, :] = 0.0  # node 3 is isolated in both views
+        dense[:, 3, :] = 0.0
+        x = Tensor3.from_dense(dense)
+        start = init_factors(x.dims, AlsConfig(rank=3, seed=0, init="normal"))
+        weighted_c = start.C * start.column_scales
+        # a component whose weight is negative in every view: each term of
+        # the isolated node's MTTKRP rows is -0.0, and only a sum started
+        # from +0.0 keeps the row +0.0
+        assert (weighted_c < 0).all(axis=0).any()
+        for mode, f1, slices in ((0, start.B, x.slices), (1, start.A, [s.T for s in x.slices])):
+            got = mttkrp(x, f1, weighted_c, mode)
+            assert np.array_equal(bits(got), bits(summed_view_terms(slices, f1, weighted_c)))
+            assert not np.signbit(got[3]).any()
+
+        previous = als_step(x, start)
+        current = als_step(x, previous)
+        step = 2 ** (1 / 3)
+        b_moved = current.B + step * (current.B - previous.B)
+        c_moved = current.C * current.column_scales
+        c_moved = c_moved + step * (c_moved - previous.C * previous.column_scales)
+        trial = _extrapolated((previous.B, previous.C * previous.column_scales), current, step)
+        assert np.array_equal(bits(trial.B), bits(b_moved))
+        assert np.array_equal(bits(trial.C), bits(c_moved))
+        assert trial.A is current.A
+        for model, (b, weighted_c) in ((previous, (previous.B, previous.C * previous.column_scales)),
+                                       (trial, (b_moved, c_moved))):
+            got = als_step(x, model)
+            *want, fit = out_of_place_sweep(x, b, weighted_c)
+            for name, arr in zip(("A", "B", "C", "column_scales"), want):
+                assert np.array_equal(bits(getattr(got, name)), bits(arr)), name
+            assert bits(got.fit_history[-1]) == bits(fit)
+            assert not np.signbit(got.A[3]).any() and not np.signbit(got.B[3]).any()
+
+    def test_decompose_holds_at_most_nine_factor_sized_arrays(self):
+        ds = planted_dataset(CITESEER_SHAPED)
+        graph = Graph(num_nodes=ds.config.num_nodes, edges=ds.edges)
+        x = stack_views(graph, build_knn_view(ds.features_csr(), 15))
+        config = AlsConfig(rank=64)
+        tracemalloc.start()
+        try:
+            model = decompose(x, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the peak is set by an extrapolated try; a rejected one frees its factors
+        assert model.extrapolations_accepted >= 1 and model.extrapolations_rejected >= 1
+        arrays = peak / (x.dims[0] * config.rank * 8)
+        assert arrays <= 9, f"decompose peaked at {arrays:.2f} nodes x rank float64 arrays"
 
 
 class TestBlasThreads:
