@@ -144,27 +144,12 @@ class FactorModel:
     def iterations(self) -> int:
         return len(self.fit_history)
 
-    def normalized(self) -> "FactorModel":
-        """Absorb the node-factor column norms into column_scales."""
-        a_div, b_div, scales = self._canonical()
-        return dataclasses.replace(
-            self,
-            A=self.A / a_div,
-            B=self.B / b_div,
-            C=self.C.copy(),
-            column_scales=scales,
-            fit_history=list(self.fit_history),
-        )
-
     def normalized_scales(self) -> np.ndarray:
-        """``normalized().column_scales``, computed without copying A or B."""
-        return self._canonical()[2]
-
-    def _canonical(self) -> tuple:
-        """``_absorb_norms`` of this model's node-factor column norms."""
+        """Column scales of the canonical form (A and B columns of unit norm),
+        absorbed by ``_absorb_norms``. Copies neither A nor B."""
         return _absorb_norms(
             self.column_scales, np.linalg.norm(self.A, axis=0), np.linalg.norm(self.B, axis=0)
-        )
+        )[2]
 
 
 def _absorb_norms(column_scales, a_norms, b_norms) -> tuple:

@@ -9,8 +9,9 @@ values fail a test, by the record reader ``read_records`` and
 ``parse_records``, from the same bytes. The record reader skips '#'
 comments and blank lines, and it is the one source of every error: a
 malformed line raises ParseError naming file:line. Both readers give the
-same arrays. A table is written by ``format_table`` in row blocks of
-about ``_BLOCK_VALUES`` values, so a writer holds one block's text at a
+same arrays; the C reader reads a table as one named field per column.
+A table is written by ``format_table`` in row blocks of about
+``_BLOCK_VALUES`` values, so a writer holds one block's text at a
 time: orjson's C writer spells each float in ``repr``'s text (the
 shortest digits that read back to the same double, so save/load round
 trips are bit-exact) and each integer in decimal.
@@ -200,15 +201,11 @@ def _c_columns(data: bytes, kinds: str, default: str | None):
     width = len(data.partition(b"\n")[0].split())
     if not width or width not in (len(kinds), len(kinds) - (default is not None)):
         return None
-    if len(set(kinds[:width])) == 1:  # one kind: a plain 2-d table
-        table = _c_read(data, _KINDS[kinds[0]][1])
-        columns = None if table is None or table.shape[1] != width else list(table.T)
-    else:  # a structured table, one named field per kind
-        dtype = [(f"f{k}", _KINDS[kind][1]) for k, kind in enumerate(kinds[:width])]
-        table = _c_read(data, dtype, ndmin=1)
-        columns = None if table is None else [table[name] for name in table.dtype.names]
-    if columns is None:
+    dtype = [(f"f{k}", _KINDS[kind][1]) for k, kind in enumerate(kinds[:width])]
+    table = _c_read(data, dtype, ndmin=1)  # numpy raises on a row of another width
+    if table is None:
         return None
+    columns = [table[name] for name in table.dtype.names]
     if width < len(kinds):
         parse, dtype = _KINDS[kinds[-1]][:2]
         columns.append(np.full(columns[0].size, dtype(parse(default))))

@@ -39,8 +39,9 @@ def dimension_correlation(emb: np.ndarray, removed) -> dict:
     """Max |Pearson r| of each removed column against surviving columns.
 
     Columns with zero variance correlate 0 with everything by
-    convention. Requires at least two surviving dimensions and three
-    nodes.
+    convention. Empty, not an error, when nothing is removed, fewer than
+    two dimensions survive, or the embedding has fewer than three nodes;
+    a removed column outside the embedding raises ValueError.
     """
     num_nodes, dim = emb.shape
     removed = sorted(int(r) for r in removed)
@@ -48,10 +49,8 @@ def dimension_correlation(emb: np.ndarray, removed) -> dict:
         if r < 0 or r >= dim:
             raise ValueError(f"removed dimension {r} outside embedding dim {dim}")
     survivors = [r for r in range(dim) if r not in set(removed)]
-    if len(survivors) < 2:
-        raise ValueError("need at least 2 surviving dimensions")
-    if num_nodes < 3:
-        raise ValueError("need at least 3 nodes to correlate dimensions")
+    if not removed or len(survivors) < 2 or num_nodes < 3:
+        return {}
     centered = emb - emb.mean(axis=0)
     norms = np.linalg.norm(centered, axis=0)
     result = {}
@@ -84,26 +83,21 @@ def pruning_report(
     under ``before.config``. A bad threshold is rejected before any
     evaluation. The report embeds the removed embedding columns, the
     column counts before and after, both evaluation summaries, the
-    Micro-F1 delta, and per-removed-column correlations when computable.
+    Micro-F1 delta, and the removed columns' ``dimension_correlation``.
     """
     pruned_emb, removed = prune_dimensions(emb, model, threshold)
     if isinstance(before, EvalConfig):
         before = evaluate(emb, labels, before)
     after = evaluate(pruned_emb, labels, before.config) if removed else before
 
-    num_nodes, dim = emb.shape
-    correlations = []
-    survivors = dim - len(removed)
-    if removed and survivors >= 2 and num_nodes >= 3:
-        corr = dimension_correlation(emb, removed)
-        correlations = [
-            {"dimension": r, "max_abs_pearson": float(corr[r])} for r in sorted(corr)
-        ]
+    dim = emb.shape[1]
+    corr = dimension_correlation(emb, removed)
+    correlations = [{"dimension": r, "max_abs_pearson": float(corr[r])} for r in sorted(corr)]
     return {
         "threshold": float(threshold),
         "removed_dimensions": [int(r) for r in removed],
         "dims_before": int(dim),
-        "dims_after": int(survivors),
+        "dims_after": int(dim - len(removed)),
         "micro_f1_before": float(before.micro_f1_mean),
         "micro_f1_after": float(after.micro_f1_mean),
         "micro_f1_delta": float(after.micro_f1_mean - before.micro_f1_mean),

@@ -220,24 +220,28 @@ class TestNormalization:
             C=rng.standard_normal((2, 3)),
             column_scales=rng.random(3) + 0.5,
         )
-        norm = m.normalized()
-        assert np.allclose(np.linalg.norm(norm.A, axis=0), 1.0, atol=1e-12)
-        assert np.allclose(np.linalg.norm(norm.B, axis=0), 1.0, atol=1e-12)
+        unit = FactorModel(
+            A=m.A / np.linalg.norm(m.A, axis=0),
+            B=m.B / np.linalg.norm(m.B, axis=0),
+            C=m.C,
+            column_scales=m.normalized_scales(),
+        )
         for view in range(2):
             assert np.allclose(
-                reconstruct_view(m, view), reconstruct_view(norm, view), atol=1e-10
+                reconstruct_view(m, view), reconstruct_view(unit, view), atol=1e-10
             )
 
     def test_zero_column_normalizes_to_zero_without_dividing(self):
+        # a divide-by-zero warning would fail the test: warnings are errors
         m = FactorModel(
             A=np.zeros((3, 1)),
-            B=np.ones((3, 1)),
+            B=np.full((3, 1), 2.0),
             C=np.ones((2, 1)),
-            column_scales=np.ones(1),
+            column_scales=np.full(1, 0.5),
         )
-        norm = m.normalized()
-        assert np.all(np.isfinite(norm.A))
-        assert np.array_equal(norm.A, np.zeros((3, 1)))
+        scales = m.normalized_scales()
+        assert np.all(np.isfinite(scales))
+        assert scales == pytest.approx([0.5 * 2.0 * np.sqrt(3.0)])  # the zero column counts 1
 
 
 class TestDecompose:

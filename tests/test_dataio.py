@@ -587,6 +587,8 @@ class TestCReader:
     @example(text="2 2\n1.5 -0.0\n2e3 7\n")
     @example(text="0 1\n2 3 0.5\n")
     @example(text="0 1 2\n2 3\n")
+    @example(text="0 1")
+    @example(text="1.5")
     def test_load_table_reads_as_the_record_reader(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("table") / "t.txt"
         p.write_bytes(text.encode("utf-8"))

@@ -116,10 +116,9 @@ class TestDimensionCorrelation:
         emb = emb_of(np.ones((5, 3)))
         with pytest.raises(ValueError):
             dimension_correlation(emb, [5])
-        with pytest.raises(ValueError):
-            dimension_correlation(emb, [0, 1])  # only one survivor
-        with pytest.raises(ValueError):
-            dimension_correlation(emb_of(np.ones((2, 4))), [0])  # too few nodes
+        assert dimension_correlation(emb, []) == {}
+        assert dimension_correlation(emb, [0, 1]) == {}  # only one survivor
+        assert dimension_correlation(emb_of(np.ones((2, 4))), [0]) == {}  # too few nodes
 
 
 class TestPruningReport:
@@ -168,6 +167,14 @@ class TestPruningReport:
         assert report["dims_after"] == report["dims_before"]
         assert report["evaluation_after"] == report["evaluation_before"]
         assert report["micro_f1_delta"] == 0.0
+        assert report["removed_dimension_correlations"] == []
+
+    def test_one_surviving_dimension_has_no_correlations(self):
+        model, emb, labels = self.fitted_setup()
+        model.C[:, 1] = 0.01  # weight about 0.03: below the threshold, as dimension 2 is
+        report = pruning_report(model, emb, labels, threshold=0.5)
+        assert report["removed_dimensions"] == [1, 2]
+        assert report["dims_after"] == 1
         assert report["removed_dimension_correlations"] == []
 
     def test_eval_config_echoed_and_validated(self):
