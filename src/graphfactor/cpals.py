@@ -144,23 +144,6 @@ class FactorModel:
     def iterations(self) -> int:
         return len(self.fit_history)
 
-    def normalized_scales(self) -> np.ndarray:
-        """Column scales of the canonical form (A and B columns of unit norm),
-        absorbed by ``_absorb_norms``. Copies neither A nor B."""
-        return _absorb_norms(
-            self.column_scales, np.linalg.norm(self.A, axis=0), np.linalg.norm(self.B, axis=0)
-        )[2]
-
-
-def _absorb_norms(column_scales, a_norms, b_norms) -> tuple:
-    """The divisors that give A and B unit-norm columns, and the scales that absorb them.
-
-    A zero column divides by 1. Returns (A divisors, B divisors, scales).
-    """
-    a_div = np.where(a_norms > 0, a_norms, 1.0)
-    b_div = np.where(b_norms > 0, b_norms, 1.0)
-    return a_div, b_div, column_scales * a_div * b_div
-
 
 def init_factors(dims, config: AlsConfig) -> FactorModel:
     """Seeded random factors; identical seeds give identical models."""
@@ -232,9 +215,10 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
     c_raw, c_fell = _solve_gram(m_view, ab_gram)
 
     fit_history = [*model.fit_history, fit_from_view_mttkrp(x, m_view, ab_gram, c_raw)]
-    a_div, b_div, scales = _absorb_norms(
-        np.ones(model.rank), np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram))
-    )
+    # a zero column divides by 1, so it stays zero instead of turning NaN
+    a_norms, b_norms = np.sqrt(np.diag(a_gram)), np.sqrt(np.diag(b_gram))
+    a_div = np.where(a_norms > 0, a_norms, 1.0)
+    b_div = np.where(b_norms > 0, b_norms, 1.0)
     a_raw /= a_div
     b_raw /= b_div
     return dataclasses.replace(
@@ -242,7 +226,7 @@ def als_step(x: Tensor3, model: FactorModel) -> FactorModel:
         A=a_raw,
         B=b_raw,
         C=c_raw,
-        column_scales=scales,
+        column_scales=a_div * b_div,
         fit_history=fit_history,
         gram_fallbacks=model.gram_fallbacks + a_fell + b_fell + c_fell,
     )

@@ -2,9 +2,10 @@
 
 Embedding rows come from the node factors with the per-component scales
 multiplied back in, so column magnitudes reflect how much each component
-contributes to the reconstruction. A component's weight is its largest
-absolute scale-weighted view coefficient; pruning drops components whose
-weight falls below a threshold, in every copy an embedding holds.
+contributes to the reconstruction. A component's weight in a view is the
+Frobenius norm of its rank-one term there, so a dead component weighs 0;
+pruning drops components whose largest view weight falls below a
+threshold, in every copy an embedding holds.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ EMBEDDING_SOURCES = ("A", "B", "A-concat-B")
 
 
 def view_dimension_weights(model: FactorModel) -> np.ndarray:
-    """|scale_r * C(l, r)| per (view l, component r).
+    """||column_scales[r] * C(l, r) * outer(A[:, r], B[:, r])||_F per (view l, component r).
 
-    Computed on the canonical (node factors column-normalized) form so
-    the value does not depend on how magnitude is split between the
-    factors and the scales. Only its scales are formed, not its factors.
+    The canonical-form weight, whatever split of magnitude the model holds
+    between factors and scales; 0 exactly when the rank-one term is 0.
     """
-    return np.abs(model.C * model.normalized_scales())
+    a_norms, b_norms = np.linalg.norm(model.A, axis=0), np.linalg.norm(model.B, axis=0)
+    return np.abs(model.C * (model.column_scales * a_norms * b_norms))
 
 
 def dimension_weights(model: FactorModel) -> np.ndarray:

@@ -167,17 +167,21 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
 
     @contextmanager
     def stage(name: str):
-        """Yield the stage's details dict; record it in the manifest on
-        success, or write FAILED and the failed manifest and raise."""
+        """Yield the stage's details dict; record it in the manifest on success,
+        or write FAILED and the failed manifest and raise: an interrupt or
+        exit unchanged, an error as PipelineError."""
         details: dict = {}
         try:
             yield details
-        except Exception as exc:
-            save_text(run_dir / "FAILED", f"stage: {name}\ncause: {exc}\n")
+        except BaseException as exc:
+            cause = str(exc) or type(exc).__name__
+            save_text(run_dir / "FAILED", f"stage: {name}\ncause: {cause}\n")
             manifest["status"] = "failed"
             manifest["failed_stage"] = name
-            manifest["failure_cause"] = str(exc)
+            manifest["failure_cause"] = cause
             save_json(manifest, run_dir / "manifest.json")
+            if not isinstance(exc, Exception):
+                raise
             raise PipelineError(name, exc) from exc
         manifest["stages"].append({"name": name, **details})
 

@@ -28,6 +28,7 @@ from graphfactor.cpals import (
     save_model,
 )
 from graphfactor.dataio import Graph
+from graphfactor.embedding import view_dimension_weights
 from graphfactor.errors import DataError, NumericalError, ParseError
 from graphfactor.tensor import (
     Tensor3,
@@ -220,16 +221,19 @@ class TestNormalization:
             C=rng.standard_normal((2, 3)),
             column_scales=rng.random(3) + 0.5,
         )
+        a_norms, b_norms = np.linalg.norm(m.A, axis=0), np.linalg.norm(m.B, axis=0)
         unit = FactorModel(
-            A=m.A / np.linalg.norm(m.A, axis=0),
-            B=m.B / np.linalg.norm(m.B, axis=0),
+            A=m.A / a_norms,
+            B=m.B / b_norms,
             C=m.C,
-            column_scales=m.normalized_scales(),
+            column_scales=m.column_scales * a_norms * b_norms,
         )
         for view in range(2):
             assert np.allclose(
                 reconstruct_view(m, view), reconstruct_view(unit, view), atol=1e-10
             )
+        got, want = view_dimension_weights(m), view_dimension_weights(unit)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_zero_column_normalizes_to_zero_without_dividing(self):
         # a divide-by-zero warning would fail the test: warnings are errors
@@ -239,9 +243,8 @@ class TestNormalization:
             C=np.ones((2, 1)),
             column_scales=np.full(1, 0.5),
         )
-        scales = m.normalized_scales()
-        assert np.all(np.isfinite(scales))
-        assert scales == pytest.approx([0.5 * 2.0 * np.sqrt(3.0)])  # the zero column counts 1
+        assert not reconstruct_view(m, 0).any()
+        assert view_dimension_weights(m).tolist() == [[0.0], [0.0]]
 
 
 class TestDecompose:

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphfactor import extract_embeddings
 from graphfactor.cpals import FactorModel
-from graphfactor.embedding import dimension_weights, prune_dimensions
+from graphfactor.embedding import dimension_weights, prune_dimensions, view_dimension_weights
+
+from oracles import oracle_reconstruct
 
 
 def model_from(a, b, c, scales):
@@ -20,6 +25,26 @@ def model_from(a, b, c, scales):
 def unit_cols(rng, rows, rank):
     m = rng.standard_normal((rows, rank))
     return m / np.linalg.norm(m, axis=0)
+
+
+# magnitudes kept away from under- and overflow, so the oracle's dense
+# products and the weights' norm products stay exact to a few ulps
+SIGNED = st.one_of(st.floats(-8.0, -0.125), st.floats(0.125, 8.0))
+
+
+@st.composite
+def small_models(draw):
+    """Models with whole A or B columns of zeros, zero or negative scales
+    and view coefficients, and signed node factors."""
+    rank, rows_a, rows_b, views = (draw(st.integers(1, n)) for n in (4, 4, 4, 3))
+    a = draw(hnp.arrays(np.float64, (rows_a, rank), elements=SIGNED))
+    b = draw(hnp.arrays(np.float64, (rows_b, rank), elements=SIGNED))
+    a[:, draw(hnp.arrays(bool, rank))] = 0.0
+    b[:, draw(hnp.arrays(bool, rank))] = 0.0
+    with_zero = st.one_of(st.just(0.0), SIGNED)
+    c = draw(hnp.arrays(np.float64, (views, rank), elements=with_zero))
+    scales = draw(hnp.arrays(np.float64, rank, elements=with_zero))
+    return model_from(a, b, c, scales)
 
 
 class TestExtractEmbeddings:
@@ -78,6 +103,21 @@ class TestDimensionWeights:
         s2[1] /= 2.0
         m2 = model_from(a2, b, c, s2)
         assert np.allclose(dimension_weights(m1), dimension_weights(m2), atol=1e-12)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(small_models())
+    def test_weight_is_the_norm_of_the_rank_one_term(self, m):
+        weights = view_dimension_weights(m)
+        for r in range(m.rank):
+            term = oracle_reconstruct(
+                m.A[:, [r]], m.B[:, [r]], m.C[:, [r]], m.column_scales[[r]]
+            )
+            for view in range(m.C.shape[0]):
+                want = np.linalg.norm(term[:, :, view])
+                if want == 0.0:
+                    assert weights[view, r] == 0.0
+                else:
+                    assert abs(weights[view, r] - want) <= 1e-12 * want
 
 
 class TestPruneDimensions:
@@ -143,6 +183,18 @@ class TestPruneDimensions:
         assert removed == [1, 3, 5, 7]
         assert np.array_equal(pruned, np.hstack([pruned_a, pruned_b]))
         assert pruned.flags.c_contiguous
+
+    @pytest.mark.parametrize("threshold", [1e-300, 1.0])
+    def test_dead_component_removed_at_any_positive_threshold(self, threshold):
+        # component 1's A column is zero: its rank-one term vanishes in every view
+        m = model_from(
+            [[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]], [[2.0, 2.0]] * 3,
+            [[1.0, 1.0], [0.5, 1.0]], [0.5, 0.5],
+        )
+        emb = extract_embeddings(m)
+        pruned, removed = prune_dimensions(emb, m, threshold)
+        assert removed == [1]
+        assert np.array_equal(pruned, emb[:, [0]])
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)

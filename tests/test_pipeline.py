@@ -244,6 +244,20 @@ class TestRunPipeline:
         assert manifest["failure_cause"] == f"{function} broke"
         assert [s["name"] for s in manifest["stages"]] == list(STAGE_NAMES[:index])
 
+    def test_interrupted_stage_is_recorded_and_propagates(self, demo_paths, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(graphfactor.pipeline, "decompose", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(demo_config(demo_paths), tmp_path / "run")
+        marker = (tmp_path / "run" / "FAILED").read_text()
+        assert marker == "stage: decompose\ncause: KeyboardInterrupt\n"
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == "decompose"
+        assert manifest["failure_cause"] == "KeyboardInterrupt"
+
     def test_successful_rerun_removes_stale_failed_marker(self, demo_paths, tmp_path):
         far = tmp_path / "far_labels.txt"
         far.write_text("0 0\n99 1\n")  # node 99 is past the 30-row embedding
