@@ -49,11 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_build_knn(args) -> int:
     features = load_features(args.features)
     view = build_knn_view(features, args.k)
@@ -121,7 +116,8 @@ def _cmd_interpret(args) -> int:
     wrong += [_EVAL_FLAGS[name] for name in given if not args.prune_eval]
     if wrong:  # every flag named is ignored without --prune-eval, the first four needed with it
         rule = "--prune-eval requires {}" if args.prune_eval else "{} given without --prune-eval"
-        return _usage_error(rule.format(", ".join(wrong)))
+        print(f"error: {rule.format(', '.join(wrong))}", file=sys.stderr)
+        return EXIT_USAGE
     eval_config = EvalConfig(**given)  # checked before any input is read
     model = load_model(args.model)
     if args.prune_eval:  # computed first, so a rejected input writes nothing

@@ -40,7 +40,6 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from ._blas import single_blas_thread
@@ -164,20 +163,17 @@ def init_factors(dims, config: AlsConfig) -> FactorModel:
 def _solve_gram(rhs: np.ndarray, gram: np.ndarray) -> tuple:
     """Solve factor @ gram = rhs for a symmetric PSD gram matrix.
 
-    The fast path factors the gram by Cholesky, estimates its reciprocal
-    condition number from the factor (LAPACK dpocon), and when that is
-    above ``_RCOND_MIN`` returns rhs @ inv(gram) with the inverse formed
-    from the factor (dpotri): one matrix product in place of two
-    triangular solves. A gram with no Cholesky factor or a condition
-    estimate at or below the threshold, or a non-finite result, falls
-    back to the pseudoinverse of a trace-scaled ridge regularization.
+    The fast path factors the gram by Cholesky (LAPACK dpotrf), estimates
+    its reciprocal condition number from the factor (dpocon), and when
+    that is above ``_RCOND_MIN`` returns rhs @ inv(gram) with the inverse
+    formed from the factor (dpotri): one product, not two triangular
+    solves. A nonzero ``info`` from any of the three LAPACK calls, a
+    condition estimate at or below the threshold, or a non-finite result
+    falls back to the pseudoinverse of a trace-scaled ridge regularization.
     Returns the solution and whether it fell back.
     """
-    try:
-        chol, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        chol = None
-    if chol is not None:
+    chol, info = lapack.dpotrf(gram, lower=1, clean=0)
+    if info == 0:
         rcond, info = lapack.dpocon(chol, np.linalg.norm(gram, 1), uplo="L")
         if info == 0 and rcond > _RCOND_MIN:
             # dpotri fills the lower triangle only

@@ -22,7 +22,9 @@ __all__ = [
     "prune_dimensions",
 ]
 
-EMBEDDING_SOURCES = ("A", "B", "A-concat-B")
+# The node factors each embedding source holds side by side.
+_SOURCE_FACTORS = {"A": ("A",), "B": ("B",), "A-concat-B": ("A", "B")}
+EMBEDDING_SOURCES = tuple(_SOURCE_FACTORS)
 
 
 def view_dimension_weights(model: FactorModel) -> np.ndarray:
@@ -41,18 +43,13 @@ def dimension_weights(model: FactorModel) -> np.ndarray:
 
 
 def extract_embeddings(model: FactorModel, source: str = "A") -> np.ndarray:
-    """Rows of the chosen node factor, scale-weighted per column."""
+    """The source's node factors side by side in float64, scale-weighted per column."""
     if source not in EMBEDDING_SOURCES:
         raise ValueError(f"source must be one of {EMBEDDING_SOURCES}, got {source!r}")
-    if source == "A":
-        rows = model.A * model.column_scales
-    elif source == "B":
-        rows = model.B * model.column_scales
-    else:
-        rows = np.hstack(
-            [model.A * model.column_scales, model.B * model.column_scales]
-        )
-    return np.ascontiguousarray(rows, dtype=np.float64)
+    factors = _SOURCE_FACTORS[source]
+    rows = np.hstack([getattr(model, name) for name in factors], dtype=np.float64)
+    rows *= np.tile(model.column_scales, len(factors))
+    return np.ascontiguousarray(rows)  # hstack keeps Fortran-ordered factors' layout
 
 
 def prune_dimensions(

@@ -78,11 +78,6 @@ class KnnView:
         return mat
 
 
-def _row_norms(matrix: sp.csr_matrix) -> np.ndarray:
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    return np.sqrt(sq)
-
-
 def _select_block(neg: np.ndarray, k: int):
     """(row, column) of each row's k smallest strictly negative entries of
     ``neg`` (negated similarities): rows ascending, then values ascending,
@@ -145,7 +140,7 @@ def build_knn_view(features, k: int, block_rows: int | None = None) -> KnnView:
     elif not isinstance(block_rows, Integral) or block_rows < 1:
         raise ValueError(f"block_rows must be an integer >= 1, got {block_rows!r}")
     mat_t = features.T.tocsr()
-    norms = _row_norms(features)
+    norms = np.sqrt(np.asarray(features.multiply(features).sum(axis=1)).ravel())
 
     def select(start):
         """Out-degrees and selected columns of the rows from ``start``."""

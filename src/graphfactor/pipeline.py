@@ -8,7 +8,7 @@ paths, so two runs with the same config and inputs are byte-identical.
 A run first checksums and parses every input, so an unreadable or
 malformed one raises before anything is written, then deletes every file
 an earlier run may have written to its directory, so it holds only the
-latest run's outputs.
+latest run's outputs, and writes a "running" manifest before the first stage.
 A stage failure writes a FAILED marker naming the stage and re-raises.
 """
 
@@ -47,7 +47,6 @@ from .tensor import stack_views
 __all__ = ["PipelineConfig", "run_pipeline", "sweep", "default_run_root"]
 
 RUNS_ENV_VAR = "GRAPHFACTOR_RUNS"
-STAGE_NAMES = ("build-knn", "stack", "decompose", "embed", "evaluate", "interpret")
 # Every file a run can write, as globs relative to the run directory. A run deletes
 # them and their temporaries before its first stage and leaves any other file alone.
 RUN_ARTIFACTS = (
@@ -164,6 +163,7 @@ def run_pipeline(config: PipelineConfig, run_dir=None) -> Path:
         "stages": [],
         "status": "running",
     }
+    save_json(manifest, run_dir / "manifest.json")
 
     @contextmanager
     def stage(name: str):

@@ -81,6 +81,21 @@ class TestExtractEmbeddings:
         with pytest.raises(ValueError):
             extract_embeddings(m, "Z")
 
+    @pytest.mark.parametrize("source, factors", [("A", "A"), ("B", "B"), ("A-concat-B", "AB")])
+    def test_float32_fortran_factors_give_a_float64_c_contiguous_embedding(self, source, factors):
+        rng = np.random.default_rng(7)
+        m = FactorModel(
+            A=np.asfortranarray(rng.standard_normal((5, 3)), dtype=np.float32),
+            B=np.asfortranarray(rng.standard_normal((5, 3)), dtype=np.float32),
+            C=rng.standard_normal((2, 3)),
+            column_scales=rng.random(3) + 0.5,
+        )
+        emb = extract_embeddings(m, source)
+        assert emb.dtype == np.float64
+        assert emb.flags.c_contiguous
+        want = np.hstack([getattr(m, f).astype(np.float64) * m.column_scales for f in factors])
+        assert emb.tobytes() == want.tobytes()
+
 
 class TestDimensionWeights:
     def test_max_over_views_with_scales(self):

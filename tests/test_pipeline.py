@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,10 +33,11 @@ from graphfactor.cpals import load_model
 from graphfactor.dataio import load_matrix, save_matrix, sha256_file
 from graphfactor.embedding import dimension_weights
 from graphfactor.interpret import pruning_report
-from graphfactor.pipeline import STAGE_NAMES, SweepResult, config_from, default_run_root, sweep
+from graphfactor.pipeline import SweepResult, config_from, default_run_root, sweep
 from synthdata import DEMO30, planted_dataset, write_dataset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("build-knn", "stack", "decompose", "embed", "evaluate", "interpret")
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +75,7 @@ class TestRunPipeline:
         run_dir = run_pipeline(demo_config(demo_paths), tmp_path / "run")
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
-        assert [s["name"] for s in manifest["stages"]] == list(STAGE_NAMES)
+        assert [s["name"] for s in manifest["stages"]] == list(STAGES)
         for artifact in (
             "knn_edges.txt",
             "model/A.txt",
@@ -226,7 +230,7 @@ class TestRunPipeline:
         ["build_knn_view", "stack_views", "decompose", "extract_embeddings", "evaluate",
          "write_weights_csv"]))
     def test_stage_failure_is_recorded(self, demo_paths, tmp_path, monkeypatch, index, function):
-        name = STAGE_NAMES[index]
+        name = STAGES[index]
 
         def explode(*args, **kwargs):
             raise RuntimeError(f"{function} broke")
@@ -242,7 +246,7 @@ class TestRunPipeline:
         assert manifest["status"] == "failed"
         assert manifest["failed_stage"] == name
         assert manifest["failure_cause"] == f"{function} broke"
-        assert [s["name"] for s in manifest["stages"]] == list(STAGE_NAMES[:index])
+        assert [s["name"] for s in manifest["stages"]] == list(STAGES[:index])
 
     def test_interrupted_stage_is_recorded_and_propagates(self, demo_paths, tmp_path, monkeypatch):
         def interrupt(*args, **kwargs):
@@ -257,6 +261,33 @@ class TestRunPipeline:
         assert manifest["status"] == "failed"
         assert manifest["failed_stage"] == "decompose"
         assert manifest["failure_cause"] == "KeyboardInterrupt"
+
+    def test_killed_run_leaves_a_running_manifest_and_no_earlier_artifact(self, demo_paths,
+                                                                          tmp_path):
+        config = demo_config(demo_paths)
+        run_dir = run_pipeline(dataclasses.replace(config, prune_threshold=1e-3), tmp_path / "run")
+        script = (
+            "import json, os, signal, sys\n"
+            "import graphfactor.pipeline as p\n"
+            "p.decompose = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "p.run_pipeline(p.PipelineConfig(**json.loads(sys.argv[1])), sys.argv[2])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(dataclasses.asdict(config)), str(run_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert run_files(run_dir) == ["knn_edges.txt", "manifest.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "running"
+        assert manifest["stages"] == []
+        run_pipeline(config, run_dir)
+        fresh = run_pipeline(config, tmp_path / "fresh")
+        assert run_bytes(run_dir) == run_bytes(fresh)
+        clean = json.loads((fresh / "manifest.json").read_text())
+        assert (manifest["config"], manifest["inputs"]) == (clean["config"], clean["inputs"])
 
     def test_successful_rerun_removes_stale_failed_marker(self, demo_paths, tmp_path):
         far = tmp_path / "far_labels.txt"
